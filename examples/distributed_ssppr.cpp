@@ -20,6 +20,11 @@ SspprState figure4_ssppr(const DistGraphStorage& g, NodeRef source,
   const int num_shards = g.num_shards();
   std::vector<NodeId> node_ids;
   std::vector<ShardId> shard_ids;
+  // One graph version for the whole query: the own shard reads through a
+  // snapshot pinned at it, remote fetches carry it on the wire.
+  const auto snap =
+      g.local_store().snapshot(g.version_tracker().published());
+  const FetchOptions fetch{.graph_version = snap->version()};
 
   while (true) {
     m.pop(node_ids, shard_ids);
@@ -35,12 +40,13 @@ SspprState figure4_ssppr(const DistGraphStorage& g, NodeRef source,
     std::vector<NeighborFetch> futs(num_shards);
     for (ShardId j = 0; j < num_shards; ++j) {
       if (j == g.shard_id() || mask[j].empty()) continue;
-      futs[j] = g.get_neighbor_infos_async(j, mask[j]);
+      futs[j] = g.get_neighbor_infos_async(j, mask[j], fetch);
     }
 
     // Local portion through shared memory, pushed while futures fly.
     if (!mask[g.shard_id()].empty()) {
-      const auto infos = g.get_neighbor_infos_local(mask[g.shard_id()]);
+      snap->reset_scratch();
+      const auto infos = snap->get_neighbor_infos(mask[g.shard_id()]);
       const std::vector<ShardId> shards(mask[g.shard_id()].size(),
                                         g.shard_id());
       m.push(infos, mask[g.shard_id()], shards);

@@ -175,8 +175,7 @@ void ClusterNode::install_unit(ShardId shard,
     rrefs.emplace_back(endpoint_.get(), peer, kStorageServiceName);
   }
   unit->storage = std::make_unique<DistGraphStorage>(
-      *endpoint_, std::move(rrefs), shard, store->base(), routing_);
-  unit->storage->attach_version_plane(std::move(store), tracker_);
+      *endpoint_, std::move(rrefs), std::move(store), tracker_, routing_);
   unit->storage->set_retry_policy(RetryPolicy{
       config_.rpc_timeout_s, config_.rpc_max_attempts, config_.rpc_backoff_ms});
   if (config_.adjacency_cache_rows > 0) {
@@ -210,7 +209,7 @@ void ClusterNode::adopt_shard(ShardId shard, int src) {
   }
   GE_REQUIRE(src != node_id_, "cannot adopt a shard from myself");
   ByteWriter req(BufferPool::global().acquire());
-  write_storage_header(req, shard, routing_->epoch());
+  write_storage_header(req, shard, routing_->epoch(), tracker_->published());
   std::vector<std::uint8_t> payload = endpoint_->sync_call(
       src, kStorageServiceName, storage_method::kSnapshotShard, req.take());
   GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
@@ -380,13 +379,14 @@ std::vector<std::uint8_t> ClusterNode::handle_mutate(
     const auto shard = static_cast<ShardId>(s);
     std::vector<float> degs;
     if (const auto store = storage_service_->store_ptr(shard)) {
-      const auto snap = store->snapshot();
+      const auto snap = store->snapshot(version - 1);
       degs.reserve(hint_locals[s].size());
       for (const NodeId local : hint_locals[s]) {
         degs.push_back(snap->weighted_degree(local));
       }
     } else {
-      degs = coord->storage->get_weighted_degrees(shard, hint_locals[s]);
+      degs = coord->storage->get_weighted_degrees(shard, hint_locals[s],
+                                                  version - 1);
     }
     for (std::size_t i = 0; i < degs.size(); ++i) {
       const auto [dst_shard, idx] = hint_slots[s][i];

@@ -56,11 +56,9 @@ Cluster::Cluster(const Graph& g, const PartitionAssignment& assignment,
     // clusters (cluster/node.hpp) route through the same RoutingTable
     // abstraction with config-derived placements.
     storages_.push_back(std::make_unique<DistGraphStorage>(
-        *endpoints_[static_cast<std::size_t>(m)], rrefs, m,
-        sharded_.shards[static_cast<std::size_t>(m)],
+        *endpoints_[static_cast<std::size_t>(m)], rrefs,
+        services_[static_cast<std::size_t>(m)]->store_ptr(m), tracker_,
         routing_[static_cast<std::size_t>(m)]));
-    storages_.back()->attach_version_plane(
-        services_[static_cast<std::size_t>(m)]->store_ptr(m), tracker_);
     if (options_.adjacency_cache_rows > 0) {
       storages_.back()->enable_adjacency_cache(options_.adjacency_cache_rows);
     }
@@ -76,7 +74,8 @@ std::shared_ptr<VersionedShardStore> Cluster::pull_snapshot(ShardId shard,
                                                             int dst) {
   ByteWriter req(BufferPool::global().acquire());
   write_storage_header(req, shard,
-                       routing_[static_cast<std::size_t>(dst)]->epoch());
+                       routing_[static_cast<std::size_t>(dst)]->epoch(),
+                       tracker_->published());
   std::vector<std::uint8_t> payload =
       endpoints_[static_cast<std::size_t>(dst)]->sync_call(
           src, kStorageServiceName, storage_method::kSnapshotShard,
@@ -193,8 +192,8 @@ std::uint64_t Cluster::apply_edge_mutations(
   DistGraphStorage& coord = *storages_[0];
   for (std::size_t s = 0; s < ns; ++s) {
     if (hint_locals[s].empty()) continue;
-    const std::vector<float> degs =
-        coord.get_weighted_degrees(static_cast<ShardId>(s), hint_locals[s]);
+    const std::vector<float> degs = coord.get_weighted_degrees(
+        static_cast<ShardId>(s), hint_locals[s], version - 1);
     for (std::size_t i = 0; i < degs.size(); ++i) {
       const auto [shard, idx] = hint_slots[s][i];
       batches[shard].inserts[idx].nbr_weighted_deg = degs[i];

@@ -10,15 +10,21 @@ namespace ppr {
 namespace {
 
 /// Per-query buffers of the lockstep loop, allocated once per
-/// run_ssppr_batch call and recycled every round. The cross-query union,
-/// cache splits, and RPCs all live in the shared FetchPipeline; this only
-/// keeps each query's popped frontier and its per-shard group positions.
+/// run_ssppr_batch call and recycled every round (capacity kept, so a
+/// warm round allocates nothing here). The cross-query union, cache
+/// splits, and RPCs all live in the shared FetchPipeline; this keeps each
+/// query's popped frontier, its per-shard group positions, and the
+/// gather buffers of its push calls (per query, so the OpenMP fan-out
+/// never shares one).
 struct BatchScratch {
   BatchScratch(std::size_t num_queries, std::size_t num_shards)
       : node_ids(num_queries),
         shard_ids(num_queries),
         groups(num_queries,
-               std::vector<std::vector<std::size_t>>(num_shards)) {}
+               std::vector<std::vector<std::size_t>>(num_shards)),
+        infos(num_queries),
+        loc(num_queries),
+        shv(num_queries) {}
 
   void begin_round(std::size_t num_queries) {
     for (std::size_t q = 0; q < num_queries; ++q) {
@@ -31,6 +37,10 @@ struct BatchScratch {
   std::vector<std::vector<NodeId>> node_ids;
   std::vector<std::vector<ShardId>> shard_ids;
   std::vector<std::vector<std::vector<std::size_t>>> groups;
+  // Per query: the rows, local ids and shard ids of one push call.
+  std::vector<std::vector<VertexProp>> infos;
+  std::vector<std::vector<NodeId>> loc;
+  std::vector<std::vector<ShardId>> shv;
 };
 
 }  // namespace
@@ -39,6 +49,9 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
                               std::span<SspprState> states,
                               const DriverOptions& options,
                               PhaseTimers* timers) {
+  GE_REQUIRE(options.batch,
+             "run_ssppr_batch is batched; the Single ablation runs through "
+             "run_ssppr");
   PhaseTimers local_timers;
   PhaseTimers& t = timers != nullptr ? *timers : local_timers;
   const std::size_t nq = states.size();
@@ -54,10 +67,71 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
   }
 
   BatchScratch scratch(nq, ns);
-  FetchPipeline pipeline(storage);
   // One admission pin for the whole batch: every query of the lockstep
   // run reads the same graph version (DESIGN.md §15).
-  pipeline.pin(storage.resolve_pin(options.graph_version));
+  FetchPipeline pipeline(storage, options.graph_version);
+  const FetchPipeline::Plan plan{options.compress, options.overlap,
+                                 options.codec};
+  const auto self_idx = static_cast<std::size_t>(self);
+
+  // One push call of query q: the rows of its shard-`j` group whose halo
+  // provenance matches `halo_filter` (-1 takes the whole group), in
+  // frontier order.
+  const auto push_rows = [&](std::size_t q, std::size_t j,
+                              int halo_filter) {
+    auto& infos = scratch.infos[q];
+    auto& loc = scratch.loc[q];
+    auto& shv = scratch.shv[q];
+    infos.clear();
+    loc.clear();
+    shv.clear();
+    const auto shard = static_cast<ShardId>(j);
+    for (const std::size_t i : scratch.groups[q][j]) {
+      const NodeId local = scratch.node_ids[q][i];
+      const std::uint32_t row = pipeline.row_of(shard, local);
+      if (halo_filter >= 0) {
+        const bool is_halo = pipeline.source(shard, row) == RowSource::kHalo;
+        if (static_cast<int>(is_halo) != halo_filter) continue;
+      }
+      infos.push_back(pipeline.row(shard, row));
+      loc.push_back(local);
+      shv.push_back(shard);
+    }
+    if (!loc.empty()) states[q].push(infos, loc, shv);
+  };
+  // The per-query push-call order is own shard, then the halo hits of
+  // each remote shard ascending, then the rest of each remote shard
+  // ascending — the same for every cache configuration, which is what
+  // keeps results bit-identical to independent runs. The first two
+  // stages only read rows resolved before the RPCs return, so they ride
+  // in the pipeline's overlap hook.
+  const auto push_resident = [&](std::size_t q) {
+    push_rows(q, self_idx, -1);
+    for (std::size_t j = 0; j < ns; ++j) {
+      if (j != self_idx) push_rows(q, j, 1);
+    }
+  };
+  const auto push_fetched = [&](std::size_t q) {
+    for (std::size_t j = 0; j < ns; ++j) {
+      if (j != self_idx) push_rows(q, j, 0);
+    }
+  };
+  // States are disjoint, so the fan-out over queries may run in parallel.
+  const int qt =
+      std::max(1, std::min(options.query_threads, static_cast<int>(nq)));
+  const auto fan_out = [&](const auto& push_query) {
+    ScopedPhase phase(t, Phase::kPush);
+    if (qt > 1) {
+#ifdef _OPENMP
+#pragma omp parallel for num_threads(qt) schedule(dynamic)
+      for (std::int64_t q = 0; q < static_cast<std::int64_t>(nq); ++q) {
+        push_query(static_cast<std::size_t>(q));
+      }
+      return;
+#endif
+    }
+    for (std::size_t q = 0; q < nq; ++q) push_query(q);
+  };
 
   for (;;) {
     // --- Pop every query's frontier; stop once all are exhausted. ------
@@ -99,76 +173,11 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     }
 
     // --- One pipeline round resolves the whole union: halo/adjacency
-    // splits, at most one RPC per remote shard, self-shard rows through
-    // shared memory while responses are in flight.
-    pipeline.execute({options.compress, options.overlap, options.codec}, &t);
-
-    // --- Per-query push fan-out, replaying the single-query driver's ---
-    // push-call structure exactly (own shard, then halo hits per remote
-    // shard ascending, then the non-halo rest) so results stay
-    // bit-identical to independent runs.
-    const auto push_query = [&](std::size_t q) {
-      const auto& nids = scratch.node_ids[q];
-      if (nids.empty()) return;
-      std::vector<VertexProp> infos;
-      std::vector<NodeId> loc;
-      std::vector<ShardId> shv;
-      const auto flush = [&] {
-        if (loc.empty()) return;
-        states[q].push(infos, loc, shv);
-        infos.clear();
-        loc.clear();
-        shv.clear();
-      };
-      // halo_filter: -1 takes the whole group, 0/1 only rows whose
-      // halo provenance matches.
-      const auto gather = [&](std::size_t j, int halo_filter) {
-        const auto shard = static_cast<ShardId>(j);
-        for (const std::size_t i : scratch.groups[q][j]) {
-          const NodeId local = nids[i];
-          const std::uint32_t row = pipeline.row_of(shard, local);
-          if (halo_filter >= 0) {
-            const bool is_halo =
-                pipeline.source(shard, row) == RowSource::kHalo;
-            if (static_cast<int>(is_halo) != halo_filter) continue;
-          }
-          infos.push_back(pipeline.row(shard, row));
-          loc.push_back(local);
-          shv.push_back(shard);
-        }
-      };
-      const auto self_idx = static_cast<std::size_t>(self);
-      gather(self_idx, -1);
-      flush();
-      for (std::size_t j = 0; j < ns; ++j) {
-        if (j == self_idx || scratch.groups[q][j].empty()) continue;
-        gather(j, 1);
-        flush();
-      }
-      for (std::size_t j = 0; j < ns; ++j) {
-        if (j == self_idx || scratch.groups[q][j].empty()) continue;
-        gather(j, 0);
-        flush();
-      }
-    };
-
-    {
-      ScopedPhase phase(t, Phase::kPush);
-      const int qt = std::max(
-          1, std::min(options.query_threads, static_cast<int>(nq)));
-      if (qt > 1) {
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(qt) schedule(dynamic)
-        for (std::int64_t q = 0; q < static_cast<std::int64_t>(nq); ++q) {
-          push_query(static_cast<std::size_t>(q));
-        }
-#else
-        for (std::size_t q = 0; q < nq; ++q) push_query(q);
-#endif
-      } else {
-        for (std::size_t q = 0; q < nq; ++q) push_query(q);
-      }
-    }
+    // splits, at most one RPC per remote shard, and the own-shard and
+    // halo pushes while responses are in flight; the fetched rows push
+    // once they arrived.
+    pipeline.execute(plan, &t, [&] { fan_out(push_resident); });
+    fan_out(push_fetched);
   }
 
   for (const SspprState& s : states) stats.num_pushes += s.num_pushes();

@@ -30,11 +30,13 @@ struct BatchRunStats {
 
 /// Run every state in `states` to completion in lockstep. All sources must
 /// be core nodes of `storage`'s shard (owner-compute rule). The per-query
-/// push results are bit-identical to running each query alone through
-/// run_ssppr with the same options: the fan-out replays each query's
-/// per-shard push-call structure exactly, only the fetches are shared.
-/// `options.query_threads > 1` spreads the push fan-out across queries
-/// with OpenMP (states are disjoint, so this stays deterministic).
+/// push results are bit-identical to running each query alone: the
+/// fan-out keeps each query's per-shard push-call order, only the fetches
+/// are shared. Own-shard and halo rows push inside the pipeline's overlap
+/// hook, while remote responses are in flight. `options.query_threads > 1`
+/// spreads the push fan-out across queries with OpenMP (states are
+/// disjoint, so this stays deterministic). `options.batch` must be set —
+/// the Single ablation is run_ssppr's (InvalidArgument otherwise).
 BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
                               std::span<SspprState> states,
                               const DriverOptions& options = {},

@@ -1,7 +1,7 @@
 #include "engine/ssppr_driver.hpp"
 
+#include "engine/ssppr_batch.hpp"
 #include "obs/trace.hpp"
-#include "storage/fetch_pipeline.hpp"
 
 namespace ppr {
 
@@ -9,13 +9,12 @@ namespace {
 
 /// Unbatched baseline ("Single"): one fetch and one push per activated
 /// vertex, sequentially — the direct port of Algorithm 1 onto distributed
-/// storage that §3.2.3 starts from.
+/// storage that §3.2.3 starts from, kept as the Table-3 ablation.
 void run_iteration_single(const DistGraphStorage& g, SspprState& state,
                           std::span<const NodeId> node_ids,
                           std::span<const ShardId> shard_ids,
-                          PhaseTimers& t, std::uint64_t pin,
-                          const std::shared_ptr<const ShardSnapshot>& snap) {
-  if (snap != nullptr) snap->reset_scratch();
+                          PhaseTimers& t, const ShardSnapshot& snap) {
+  snap.reset_scratch();
   for (std::size_t i = 0; i < node_ids.size(); ++i) {
     const NodeId one_node[] = {node_ids[i]};
     const ShardId one_shard[] = {shard_ids[i]};
@@ -23,10 +22,8 @@ void run_iteration_single(const DistGraphStorage& g, SspprState& state,
       std::vector<VertexProp> infos;
       {
         ScopedPhase phase(t, Phase::kLocalFetch);
-        // A versioned store pins the self-shard to the query's snapshot;
-        // clean shards delegate to the base CSR (the classic path).
-        infos = snap != nullptr ? snap->get_neighbor_infos(one_node)
-                                : g.get_neighbor_infos_local(one_node);
+        infos = snap.get_neighbor_infos(one_node);
+        g.stats().local_nodes.fetch_add(1, std::memory_order_relaxed);
       }
       ScopedPhase phase(t, Phase::kPush);
       state.push(infos, one_node, one_shard);
@@ -35,7 +32,7 @@ void run_iteration_single(const DistGraphStorage& g, SspprState& state,
       {
         ScopedPhase phase(t, Phase::kRemoteFetch);
         batch = g.get_neighbor_info_single_async(shard_ids[i], node_ids[i],
-                                                 pin)
+                                                 snap.version())
                     .wait();
       }
       ScopedPhase phase(t, Phase::kPush);
@@ -44,105 +41,36 @@ void run_iteration_single(const DistGraphStorage& g, SspprState& state,
   }
 }
 
-/// Gather-and-push helper shared by the batched iteration's fan-out:
-/// collects the union rows of `shard` whose provenance matches
-/// `halo_filter` (-1 = all) into one push call, preserving request order.
-void push_group(const FetchPipeline& pipeline, SspprState& state,
-                ShardId shard, int halo_filter, PhaseTimers& t,
-                std::vector<VertexProp>& infos, std::vector<NodeId>& loc,
-                std::vector<ShardId>& shv) {
-  infos.clear();
-  loc.clear();
-  shv.clear();
-  const std::span<const NodeId> group = pipeline.requested(shard);
-  for (std::uint32_t r = 0; r < group.size(); ++r) {
-    if (halo_filter >= 0) {
-      const bool is_halo = pipeline.source(shard, r) == RowSource::kHalo;
-      if (static_cast<int>(is_halo) != halo_filter) continue;
-    }
-    infos.push_back(pipeline.row(shard, r));
-    loc.push_back(group[r]);
-    shv.push_back(shard);
-  }
-  if (loc.empty()) return;
-  ScopedPhase phase(t, Phase::kPush);
-  state.push(infos, loc, shv);
-}
-
-/// Batched iteration (Figure 4) on the shared fetch pipeline: the popped
-/// set becomes one pipeline round (at most one RPC per remote shard,
-/// after the halo/adjacency-cache splits); the push fan-out replays the
-/// pre-pipeline driver's exact push-call structure — own shard first
-/// (inside the overlap hook), then per remote shard halo hits before the
-/// non-halo rest, rows in request order — so results are bit-identical
-/// regardless of which caches are enabled or warm.
-void run_iteration_batched(const DistGraphStorage& g, SspprState& state,
-                           std::span<const NodeId> node_ids,
-                           std::span<const ShardId> shard_ids,
-                           const DriverOptions& options, PhaseTimers& t,
-                           FetchPipeline& pipeline) {
-  const int num_shards = g.num_shards();
-  const ShardId self = g.shard_id();
-  pipeline.begin_round();
-  for (std::size_t i = 0; i < node_ids.size(); ++i) {
-    pipeline.add(shard_ids[i], node_ids[i]);
-  }
-
-  std::vector<VertexProp> infos;
-  std::vector<NodeId> loc;
-  std::vector<ShardId> shv;
-  const FetchPipeline::Plan plan{options.compress, options.overlap,
-                                 options.codec};
-  // Own-shard push and the halo-hit pushes only need rows resolved before
-  // the RPCs return, so they ride in the overlap hook.
-  pipeline.execute(plan, &t, [&] {
-    push_group(pipeline, state, self, -1, t, infos, loc, shv);
-    for (ShardId j = 0; j < num_shards; ++j) {
-      if (j == self || pipeline.num_rows(j) == 0) continue;
-      push_group(pipeline, state, j, 1, t, infos, loc, shv);
-    }
-  });
-  for (ShardId j = 0; j < num_shards; ++j) {
-    if (j == self || pipeline.num_rows(j) == 0) continue;
-    push_group(pipeline, state, j, 0, t, infos, loc, shv);
-  }
-}
-
 }  // namespace
 
 SspprRunStats run_ssppr(const DistGraphStorage& storage, SspprState& state,
                         const DriverOptions& options, PhaseTimers* timers) {
-  PhaseTimers local_timers;
-  PhaseTimers& t = timers != nullptr ? *timers : local_timers;
   SspprRunStats stats;
   obs::ScopedSpan query_span("ssppr.query");
-
-  std::vector<NodeId> node_ids;
-  std::vector<ShardId> shard_ids;
-  FetchPipeline pipeline(storage);
-  // Admission pin (DESIGN.md §15): resolved ONCE — every iteration of
-  // this query reads the same graph version while mutations land.
-  const std::uint64_t pin = storage.resolve_pin(options.graph_version);
-  pipeline.pin(pin);
-  std::shared_ptr<const ShardSnapshot> single_snap;
-  if (!options.batch && storage.local_store() != nullptr) {
-    single_snap = storage.local_store()->snapshot(pin);
-  }
-  for (;;) {
-    {
-      ScopedPhase phase(t, Phase::kPop);
-      state.pop(node_ids, shard_ids);
-    }
-    if (node_ids.empty()) break;
-    ++stats.num_iterations;
-    obs::ScopedSpan round_span("ssppr.round");
-    round_span.annotate(std::string("mode=") + state.kernel_mode_name());
-    if (options.batch) {
-      run_iteration_batched(storage, state, node_ids, shard_ids, options, t,
-                            pipeline);
-    } else {
-      run_iteration_single(storage, state, node_ids, shard_ids, t, pin,
-                           single_snap);
+  if (options.batch) {
+    stats.num_iterations =
+        run_ssppr_batch(storage, std::span<SspprState>(&state, 1), options,
+                        timers)
+            .num_iterations;
+  } else {
+    PhaseTimers local_timers;
+    PhaseTimers& t = timers != nullptr ? *timers : local_timers;
+    // Admission pin (DESIGN.md §15): resolved ONCE — every iteration of
+    // this query reads the same graph version while mutations land.
+    const auto snap = storage.local_store().snapshot(
+        storage.resolve_pin(options.graph_version));
+    std::vector<NodeId> node_ids;
+    std::vector<ShardId> shard_ids;
+    for (;;) {
+      {
+        ScopedPhase phase(t, Phase::kPop);
+        state.pop(node_ids, shard_ids);
+      }
+      if (node_ids.empty()) break;
+      ++stats.num_iterations;
+      obs::ScopedSpan round_span("ssppr.round");
+      round_span.annotate(std::string("mode=") + state.kernel_mode_name());
+      run_iteration_single(storage, state, node_ids, shard_ids, t, *snap);
     }
   }
   stats.num_pushes = state.num_pushes();

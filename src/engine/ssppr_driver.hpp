@@ -5,7 +5,9 @@
 //   compress — CSR-compressed responses instead of lists of small tensors;
 //   overlap  — run local fetch + local push while remote calls are in
 //              flight.
-// The engine default is all three on; "Single" is all three off.
+// The engine default is all three on; "Single" is all three off. Every
+// batched mode runs through the one lockstep driver (run_ssppr_batch);
+// Single is the only other path, kept as the Table-3 ablation.
 #pragma once
 
 #include "common/timer.hpp"
@@ -27,9 +29,9 @@ struct DriverOptions {
   /// result bit-deterministic regardless of the OpenMP runtime.
   int query_threads = 1;
   /// Graph version the query reads at (DESIGN.md §15). kVersionLatest
-  /// resolves at admission: the newest published version once any
-  /// mutation has landed, else the legacy unversioned path. The whole
-  /// query — every iteration, every shard — observes that one snapshot.
+  /// resolves at admission to the newest published version (0 before any
+  /// mutation). The whole query — every iteration, every shard — observes
+  /// that one snapshot.
   std::uint64_t graph_version = kVersionLatest;
 
   static DriverOptions single() { return {false, false, false}; }
@@ -51,8 +53,10 @@ struct SspprRunStats {
 };
 
 /// Run one whole-graph SSPPR query to completion. `source` must be a core
-/// node of `storage`'s shard (owner-compute rule). `timers`, if given,
-/// accumulates the per-phase breakdown.
+/// node of `storage`'s shard (owner-compute rule). A batched `options`
+/// runs as a one-element run_ssppr_batch; `batch = false` runs the
+/// per-vertex Single ablation. `timers`, if given, accumulates the
+/// per-phase breakdown.
 SspprRunStats run_ssppr(const DistGraphStorage& storage, SspprState& state,
                         const DriverOptions& options,
                         PhaseTimers* timers = nullptr);

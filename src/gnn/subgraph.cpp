@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/rng.hpp"
+#include "storage/fetch_pipeline.hpp"
 
 namespace ppr::gnn {
 
@@ -129,30 +130,19 @@ SubgraphBatch convert_batch(const DistGraphStorage& storage,
         labels[static_cast<std::size_t>(mapping.to_global(state.source()))]);
   }
 
-  // Fetch every selected node's neighborhood, grouped by owning shard.
-  const int num_shards = storage.num_shards();
-  std::vector<std::vector<NodeId>> locals(static_cast<std::size_t>(num_shards));
-  std::vector<std::vector<std::size_t>> rows(
-      static_cast<std::size_t>(num_shards));
-  for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
-    const NodeRef ref = batch.nodes[i];
-    locals[static_cast<std::size_t>(ref.shard)].push_back(ref.local);
-    rows[static_cast<std::size_t>(ref.shard)].push_back(i);
-  }
-  std::vector<NeighborFetch> fetches(static_cast<std::size_t>(num_shards));
-  for (ShardId s = 0; s < num_shards; ++s) {
-    if (locals[static_cast<std::size_t>(s)].empty() ||
-        s == storage.shard_id()) {
-      continue;
-    }
-    fetches[static_cast<std::size_t>(s)] = storage.get_neighbor_infos_async(
-        s, locals[static_cast<std::size_t>(s)]);
-  }
+  // Fetch every selected node's neighborhood in one pipeline round: one
+  // pin for the whole batch, own-shard rows through its snapshot, remote
+  // rows over the caches and at most one RPC per shard.
+  FetchPipeline pipeline(storage);
+  for (const NodeRef ref : batch.nodes) pipeline.add(ref.shard, ref.local);
 
   // Induce edges: keep (v,u) when both endpoints are selected.
   std::vector<std::vector<std::pair<std::int32_t, float>>> adj_rows(
       batch.nodes.size());
-  const auto add_edges = [&](std::size_t row, const VertexProp& vp) {
+  const auto add_edges = [&](std::size_t row) {
+    const NodeRef v = batch.nodes[row];
+    const VertexProp vp =
+        pipeline.row(v.shard, pipeline.row_of(v.shard, v.local));
     for (std::size_t e = 0; e < vp.degree(); ++e) {
       const NodeRef u{vp.nbr_local_ids[e], vp.nbr_shard_ids[e]};
       const auto it = index_of.find(u.key());
@@ -161,22 +151,15 @@ SubgraphBatch convert_batch(const DistGraphStorage& storage,
       }
     }
   };
-  {
-    const ShardId self = storage.shard_id();
-    const auto& own = locals[static_cast<std::size_t>(self)];
-    if (!own.empty()) {
-      const auto props = storage.get_neighbor_infos_local(own);
-      for (std::size_t i = 0; i < props.size(); ++i) {
-        add_edges(rows[static_cast<std::size_t>(self)][i], props[i]);
-      }
+  // Own-shard rows induce while remote rows are in flight.
+  const ShardId self = storage.shard_id();
+  pipeline.execute({}, nullptr, [&] {
+    for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
+      if (batch.nodes[i].shard == self) add_edges(i);
     }
-  }
-  for (ShardId s = 0; s < num_shards; ++s) {
-    if (!fetches[static_cast<std::size_t>(s)].valid()) continue;
-    const NeighborBatch nb = fetches[static_cast<std::size_t>(s)].wait();
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      add_edges(rows[static_cast<std::size_t>(s)][i], nb[i]);
-    }
+  });
+  for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
+    if (batch.nodes[i].shard != self) add_edges(i);
   }
 
   batch.indptr.assign(batch.nodes.size() + 1, 0);

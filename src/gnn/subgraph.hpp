@@ -66,6 +66,7 @@ std::vector<NodeRef> topk_ppr_nodes(const SspprState& state, std::size_t k);
 
 /// The paper's convert_batch: induce the subgraph over the union of the
 /// batch roots' top-K PPR node sets, slice features, attach labels.
+/// Adjacency reads one pinned graph version (the newest published).
 /// `labels[i]` must be the label of original global node i.
 SubgraphBatch convert_batch(const DistGraphStorage& storage,
                             const DistFeatureStore& features,

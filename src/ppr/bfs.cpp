@@ -33,8 +33,7 @@ BfsResult distributed_bfs(const DistGraphStorage& storage,
   // walks each shard's rows in request order regardless of where a row
   // was resolved from, so the traversal — and the next frontier's request
   // order — is identical under every cache configuration.
-  FetchPipeline pipeline(storage);
-  pipeline.pin(storage.resolve_pin(options.graph_version));
+  FetchPipeline pipeline(storage, options.graph_version);
   obs::ScopedSpan query_span("bfs.query");
   int depth = 0;
   while (!frontier_locals.empty() &&

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "storage/fetch_pipeline.hpp"
 
 namespace ppr {
 
@@ -48,34 +49,32 @@ Node2vecResult node2vec_walk(const DistGraphStorage& storage,
   }
 
   Rng rng(options.seed);
+  // Walkers per shard this step, in walker order. The shared RNG stream
+  // sees the advance order — own shard first, then remote shards
+  // ascending — so it must not depend on where a row resolved from.
   std::vector<std::vector<std::size_t>> by_shard(
       static_cast<std::size_t>(num_shards));
-  std::vector<std::vector<NodeId>> locals(static_cast<std::size_t>(num_shards));
+  // One pin for the whole walk: every step reads the same graph version,
+  // own-shard rows through its snapshot, remote rows over the caches and
+  // at most one RPC per shard.
+  FetchPipeline pipeline(storage);
+  const ShardId self = storage.shard_id();
 
   for (int step = 0; step < options.walk_length; ++step) {
     for (auto& v : by_shard) v.clear();
-    for (auto& v : locals) v.clear();
+    pipeline.begin_round();
     for (std::size_t i = 0; i < n; ++i) {
       if (walkers[i].stuck) continue;
-      const ShardId s = walkers[i].current.shard;
-      by_shard[static_cast<std::size_t>(s)].push_back(i);
-      locals[static_cast<std::size_t>(s)].push_back(
-          walkers[i].current.local);
+      const NodeRef cur = walkers[i].current;
+      by_shard[static_cast<std::size_t>(cur.shard)].push_back(i);
+      pipeline.add(cur.shard, cur.local);
     }
 
-    // Batched full-row fetches: one per remote shard, local zero-copy.
-    std::vector<NeighborFetch> fetches(static_cast<std::size_t>(num_shards));
-    for (ShardId j = 0; j < num_shards; ++j) {
-      if (j == storage.shard_id() ||
-          locals[static_cast<std::size_t>(j)].empty()) {
-        continue;
-      }
-      fetches[static_cast<std::size_t>(j)] =
-          storage.get_neighbor_infos_async(j, locals[static_cast<std::size_t>(j)]);
-    }
-
-    const auto advance = [&](std::size_t i, const VertexProp& vp) {
+    const auto advance = [&](std::size_t i) {
       Walker& w = walkers[i];
+      const ShardId shard = w.current.shard;
+      const VertexProp vp =
+          pipeline.row(shard, pipeline.row_of(shard, w.current.local));
       if (vp.degree() == 0) {
         w.stuck = true;  // dangling: the walk stays put for all steps
         return;
@@ -113,22 +112,16 @@ Node2vecResult node2vec_walk(const DistGraphStorage& storage,
       w.prev_neighbors = neighbor_key_set(vp);
       w.current = NodeRef{vp.nbr_local_ids[pick], vp.nbr_shard_ids[pick]};
     };
+    const auto advance_shard = [&](ShardId j) {
+      for (const std::size_t i : by_shard[static_cast<std::size_t>(j)]) {
+        advance(i);
+      }
+    };
 
-    // Local rows first (overlapping the remote fetches), then remote.
-    const ShardId self = storage.shard_id();
-    if (!locals[static_cast<std::size_t>(self)].empty()) {
-      const auto props = storage.get_neighbor_infos_local(
-          locals[static_cast<std::size_t>(self)]);
-      for (std::size_t idx = 0; idx < props.size(); ++idx) {
-        advance(by_shard[static_cast<std::size_t>(self)][idx], props[idx]);
-      }
-    }
+    // Own-shard walkers advance while remote rows are in flight.
+    pipeline.execute({}, nullptr, [&] { advance_shard(self); });
     for (ShardId j = 0; j < num_shards; ++j) {
-      if (!fetches[static_cast<std::size_t>(j)].valid()) continue;
-      const NeighborBatch batch = fetches[static_cast<std::size_t>(j)].wait();
-      for (std::size_t idx = 0; idx < batch.size(); ++idx) {
-        advance(by_shard[static_cast<std::size_t>(j)][idx], batch[idx]);
-      }
+      if (j != self) advance_shard(j);
     }
 
     // Record positions after the move (stuck walkers repeat in place).

@@ -10,9 +10,10 @@
 //   1    if x ∈ N(t)            (stay close — triangle edge)
 //   1/q  otherwise               (explore)
 // Because the bias needs v's full neighbor row AND membership in N(t),
-// sampling happens client-side from batched get_neighbor_infos fetches —
-// exactly the fetch machinery the SSPPR driver uses, demonstrating the
-// engine's "easy integration of single-machine graph primitives".
+// sampling happens client-side from fetch-pipeline rounds — exactly the
+// fetch machinery the SSPPR driver uses, demonstrating the engine's "easy
+// integration of single-machine graph primitives". One call reads one
+// pinned graph version (the newest published when it starts).
 #pragma once
 
 #include <cstdint>

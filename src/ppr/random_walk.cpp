@@ -63,8 +63,7 @@ RandomWalkResult distributed_random_walk(const DistGraphStorage& g,
     // client-side weighted pick per walker from its private RNG stream.
     // Sampling client-side is what lets walks ride the halo/adjacency
     // caches: the row crosses the wire (at most once), not the sample.
-    FetchPipeline pipeline(g);
-    pipeline.pin(g.resolve_pin(options.graph_version));
+    FetchPipeline pipeline(g, options.graph_version);
     obs::ScopedSpan query_span("walk.query");
     std::vector<std::uint8_t> advanced(n);
     for (int step = 0; step < options.walk_length; ++step) {

@@ -23,7 +23,10 @@ namespace ppr {
 // v2: storage requests carry a [shard, routing epoch] header and storage
 // replies a status byte (stale-route redirects); ShardMap wire format
 // gained replica sets. v1 peers cannot interoperate.
-inline constexpr std::uint16_t kClusterProtocolVersion = 2;
+// v3: one 20-byte storage header [shard, routing epoch, graph version]
+// with the graph version always concrete; v2's 12-byte header and its
+// flagged versioned form are gone.
+inline constexpr std::uint16_t kClusterProtocolVersion = 3;
 
 /// "GEN1" little-endian — rejects random port scanners and non-cluster
 /// peers before any field is interpreted.

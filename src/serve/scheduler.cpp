@@ -234,17 +234,13 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
     }
   }
 
-  // The batch runs at the max concrete pin of its members: one coherent
-  // snapshot, never older than any member's admission version.
-  // kVersionLatest members (admitted before any mutation) are upgraded
-  // along with the rest; all-latest stays latest (the clean fast path).
+  // The batch runs at the max pin of its members (all concrete since
+  // admission): one coherent snapshot, never older than any member's
+  // admission version.
   DriverOptions driver = options_.driver;
+  driver.graph_version = 0;
   for (const PendingQuery& q : batch) {
-    if (q.pinned_version == kVersionLatest) continue;
-    if (driver.graph_version == kVersionLatest ||
-        q.pinned_version > driver.graph_version) {
-      driver.graph_version = q.pinned_version;
-    }
+    driver.graph_version = std::max(driver.graph_version, q.pinned_version);
   }
 
   QueryResult error_result;

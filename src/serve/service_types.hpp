@@ -64,11 +64,12 @@ struct PendingQuery {
   /// tracing is off.
   obs::TraceContext trace{};
   /// Graph version this query reads (DESIGN.md §15). Admission resolves
-  /// kVersionLatest to the newest PUBLISHED version, so a query's view is
-  /// fixed the moment it is admitted — mutations landing while it waits
-  /// in the queue do not leak into its result. A batch executes at the
-  /// max pin of its members (still one coherent snapshot, and never older
-  /// than any member's admission version).
+  /// kVersionLatest to the newest PUBLISHED version (0 before any
+  /// mutation), so a query's view is fixed the moment it is admitted —
+  /// mutations landing while it waits in the queue do not leak into its
+  /// result. A batch executes at the max pin of its members (still one
+  /// coherent snapshot, and never older than any member's admission
+  /// version).
   std::uint64_t pinned_version = kVersionLatest;
 };
 
@@ -98,6 +99,8 @@ struct ServeOptions {
   /// only get status + latency metadata (pure SLO benchmarking).
   bool collect_entries = true;
   SspprOptions ppr{};
+  /// Batch-driver switches; its graph_version is ignored — every batch
+  /// runs at the max admission pin of its members.
   DriverOptions driver{};
 };
 

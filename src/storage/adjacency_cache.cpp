@@ -58,18 +58,10 @@ void AdjacencyCache::lookup(ShardId dst, std::span<const NodeId> locals,
         miss_indices.push_back(i);
         continue;
       }
-      if (graph_version != kVersionLatest &&
-          graph_version < shard_last_mut) {
+      if (graph_version < shard_last_mut) {
         // The entry is current but this reader is pinned before the
         // shard's last mutation — it must read through a snapshot. Keep
         // the entry: it is still right for readers at ≥ shard_last_mut.
-        miss_locals.push_back(locals[i]);
-        miss_indices.push_back(i);
-        continue;
-      }
-      if (graph_version == kVersionLatest && shard_last_mut != 0) {
-        // Unpinned reader on a mutated shard (defensive: the drivers
-        // resolve their pin before fetching) — serve via snapshot.
         miss_locals.push_back(locals[i]);
         miss_indices.push_back(i);
         continue;
@@ -112,13 +104,8 @@ void AdjacencyCache::insert(ShardId dst, NodeId local,
                             std::uint64_t shard_last_mut,
                             std::uint64_t graph_version) {
   // A row fetched through a pin OLDER than the shard's last mutation may
-  // already be stale at the newest version — don't cache it. (Unpinned
-  // fetches on a mutated shard are equally unattributable; skip those
-  // too. Both only arise transiently around pin resolution.)
-  if (graph_version == kVersionLatest ? shard_last_mut != 0
-                                      : graph_version < shard_last_mut) {
-    return;
-  }
+  // already be stale at the newest version — don't cache it.
+  if (graph_version < shard_last_mut) return;
   const std::uint64_t key = NodeRef{local, dst}.key();
   LockGuard<Spinlock> guard(lock_);
   const auto it = index_.find(key);

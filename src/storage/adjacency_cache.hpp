@@ -145,14 +145,14 @@ class AdjacencyCache {
   /// entry tagged L serves a reader pinned at V ≥ L (the row cannot have
   /// changed in (L, V]); a reader pinned BEFORE L misses without erasing,
   /// since the entry is still right for newer readers. The defaults
-  /// (L = 0, pin = latest) reproduce the unversioned behavior exactly.
+  /// (L = 0, pin = 0) describe a never-mutated graph.
   void lookup(ShardId dst, std::span<const NodeId> locals,
               CachedRowArena& arena, std::vector<std::size_t>& hit_indices,
               std::vector<std::size_t>& hit_rows,
               std::vector<NodeId>& miss_locals,
               std::vector<std::size_t>& miss_indices,
               std::uint64_t shard_last_mut = 0,
-              std::uint64_t graph_version = kVersionLatest);
+              std::uint64_t graph_version = 0);
 
   /// Insert one row for `<local, dst>` (no-op if already resident, beyond
   /// refreshing its reference bit). The row was fetched pinned at
@@ -161,7 +161,7 @@ class AdjacencyCache {
   /// fetched through an old pin are simply not cached.
   void insert(ShardId dst, NodeId local, const VertexProp& row,
               std::uint64_t shard_last_mut = 0,
-              std::uint64_t graph_version = kVersionLatest);
+              std::uint64_t graph_version = 0);
 
   const AdjacencyCacheStats& stats() const { return stats_; }
   AdjacencyCacheStats& stats() { return stats_; }

@@ -7,6 +7,15 @@
 
 namespace ppr {
 
+namespace {
+/// Constructor-argument check usable in a member-initializer list.
+template <typename T>
+std::shared_ptr<T> required(std::shared_ptr<T> ptr, const char* what) {
+  GE_REQUIRE(ptr != nullptr, what);
+  return ptr;
+}
+}  // namespace
+
 StorageCall& StorageCall::operator=(StorageCall&& other) noexcept {
   if (this == &other) return *this;
   release_request();
@@ -27,24 +36,24 @@ void StorageCall::release_request() {
 }
 
 DistGraphStorage::DistGraphStorage(
-    RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs, ShardId shard_id,
-    std::shared_ptr<const GraphShard> local_shard,
+    RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs,
+    std::shared_ptr<VersionedShardStore> store,
+    std::shared_ptr<VersionTracker> tracker,
     std::shared_ptr<RoutingTable> routing)
     : endpoint_(endpoint),
       rrefs_(std::move(rrefs)),
       routing_(std::move(routing)),
-      shard_id_(shard_id),
-      local_shard_(std::move(local_shard)),
-      stats_(shard_id) {
+      local_store_(required(std::move(store), "null local store")),
+      tracker_(required(std::move(tracker), "null version tracker")),
+      shard_id_(local_store_->shard_id()),
+      local_shard_(local_store_->base()),
+      stats_(shard_id_) {
   if (routing_ == nullptr) {
     routing_ = std::make_shared<RoutingTable>(
         ShardMap::identity(static_cast<int>(rrefs_.size())));
   }
-  GE_REQUIRE(local_shard_ != nullptr, "null local shard");
   GE_REQUIRE(shard_id_ >= 0 && shard_id_ < routing_->num_shards(),
              "shard id out of range");
-  GE_REQUIRE(local_shard_->shard_id() == shard_id_,
-             "local shard does not match shard id");
   for (const std::int32_t node : routing_->current()->placement()) {
     GE_REQUIRE(node < static_cast<std::int32_t>(rrefs_.size()),
                "shard map names a node with no storage rref");
@@ -52,10 +61,11 @@ DistGraphStorage::DistGraphStorage(
 }
 
 DistGraphStorage::DistGraphStorage(
-    RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs, ShardId shard_id,
-    std::shared_ptr<const GraphShard> local_shard, ShardMap shard_map)
+    RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs,
+    std::shared_ptr<VersionedShardStore> store,
+    std::shared_ptr<VersionTracker> tracker, ShardMap shard_map)
     : DistGraphStorage(
-          endpoint, std::move(rrefs), shard_id, std::move(local_shard),
+          endpoint, std::move(rrefs), std::move(store), std::move(tracker),
           shard_map.valid()
               ? std::make_shared<RoutingTable>(std::move(shard_map))
               : nullptr) {}
@@ -74,15 +84,10 @@ RpcFuture DistGraphStorage::issue_storage_call(StorageCall& call) const {
   GE_REQUIRE(call.request.size() >= kStorageHeaderBytes,
              "storage call without routing header");
   // Patch the routing epoch in place: the rest of the frame is
-  // placement-independent, so a retry only refreshes the header. The
-  // epoch word's top bit flags a versioned frame (a pinned graph version
-  // follows the header) — preserve it across the patch.
-  std::uint64_t word = 0;
-  std::memcpy(&word, call.request.data() + kStorageEpochOffset,
-              sizeof(word));
-  word = routing_->epoch() | (word & kStorageVersionedFlag);
-  std::memcpy(call.request.data() + kStorageEpochOffset, &word,
-              sizeof(word));
+  // placement-independent, so a retry only refreshes the header.
+  const std::uint64_t epoch = routing_->epoch();
+  std::memcpy(call.request.data() + kStorageEpochOffset, &epoch,
+              sizeof(epoch));
   call.target = routing_->read_target(call.dst);
   GE_REQUIRE(call.target >= 0 &&
                  call.target < static_cast<int>(rrefs_.size()),
@@ -145,23 +150,19 @@ std::vector<std::uint8_t> DistGraphStorage::await_storage_reply(
   }
 }
 
-std::vector<VertexProp> DistGraphStorage::get_neighbor_infos_local(
-    std::span<const NodeId> locals) const {
-  stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-  return local_shard_->get_neighbor_infos(locals);
-}
-
 NeighborBatch DistGraphStorage::get_neighbor_infos_local_serialized(
     std::span<const NodeId> locals, const FetchOptions& options) const {
   stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
+  const auto snap =
+      local_store_->snapshot(resolve_pin(options.graph_version));
   ByteWriter w(BufferPool::global().acquire());
   NeighborBatch batch;
   if (options.compress) {
-    local_shard_->encode_neighbor_infos_csr(locals, w, options);
+    snap->encode_neighbor_infos_csr(locals, w, options);
     ByteReader r(w.bytes());
     batch = NeighborBatch::decode_csr(r);
   } else {
-    local_shard_->encode_neighbor_infos_tensor_list(locals, w);
+    snap->encode_neighbor_infos_tensor_list(locals, w);
     ByteReader r(w.bytes());
     batch = NeighborBatch::decode_tensor_list(r);
   }
@@ -415,15 +416,9 @@ KSampleResult DistGraphStorage::sample_k_neighbors(
   if (dst == shard_id_) {
     stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
     KSampleResult res;
-    if (local_store_ != nullptr) {
-      const auto snap = local_store_->snapshot(graph_version);
-      snap->sample_k_neighbors(locals, k, seed, res.indptr, res.local_ids,
-                               res.shard_ids, res.global_ids);
-    } else {
-      local_shard_->sample_k_neighbors(locals, k, seed, res.indptr,
-                                       res.local_ids, res.shard_ids,
-                                       res.global_ids);
-    }
+    local_store_->snapshot(resolve_pin(graph_version))
+        ->sample_k_neighbors(locals, k, seed, res.indptr, res.local_ids,
+                             res.shard_ids, res.global_ids);
     return res;
   }
   return sample_k_neighbors_async(dst, locals, k, seed, graph_version)
@@ -436,23 +431,19 @@ SampleResult DistGraphStorage::sample_one_neighbor(
   if (dst == shard_id_) {
     stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
     SampleResult res;
-    if (local_store_ != nullptr) {
-      const auto snap = local_store_->snapshot(graph_version);
-      snap->sample_one_neighbor(locals, seed, res.local_ids, res.shard_ids,
-                                res.global_ids);
-    } else {
-      local_shard_->sample_one_neighbor(locals, seed, res.local_ids,
-                                        res.shard_ids, res.global_ids);
-    }
+    local_store_->snapshot(resolve_pin(graph_version))
+        ->sample_one_neighbor(locals, seed, res.local_ids, res.shard_ids,
+                              res.global_ids);
     return res;
   }
   return sample_one_neighbor_async(dst, locals, seed, graph_version).wait();
 }
 
 std::vector<float> DistGraphStorage::get_weighted_degrees(
-    ShardId dst, std::span<const NodeId> locals) const {
-  if (dst == shard_id_ && local_store_ != nullptr) {
-    const auto snap = local_store_->snapshot();
+    ShardId dst, std::span<const NodeId> locals,
+    std::uint64_t graph_version) const {
+  if (dst == shard_id_) {
+    const auto snap = local_store_->snapshot(resolve_pin(graph_version));
     std::vector<float> degs;
     degs.reserve(locals.size());
     for (const NodeId l : locals) degs.push_back(snap->weighted_degree(l));
@@ -460,7 +451,7 @@ std::vector<float> DistGraphStorage::get_weighted_degrees(
   }
   StorageCall call(this, storage_method::kGetWeightedDegs, dst);
   ByteWriter w(BufferPool::global().acquire());
-  write_storage_header(w, dst, routing_->epoch());
+  write_fetch_header(w, dst, graph_version);
   w.write_span(locals);
   call.request = w.take();
   RpcFuture future = issue_storage_call(call);
@@ -481,9 +472,9 @@ void DistGraphStorage::apply_mutations_remote(
   // Addressed to a SPECIFIC node (owner, then each replica in version
   // order) — never routed through read_target, which round-robins over
   // replicas and could skip one.
+  // The header's graph version is the version the batch creates.
   ByteWriter w(BufferPool::global().acquire());
-  write_storage_header(w, shard, routing_->epoch());
-  w.write<std::uint64_t>(version);
+  write_storage_header(w, shard, routing_->epoch(), version);
   batch.encode(w);
   RpcFuture future = endpoint_.async_call(
       node, kStorageServiceName, storage_method::kMutateEdges, w.take());

@@ -1,8 +1,10 @@
 // Client side of the Distributed Graph Storage (the `DistGraphStorage`
 // object of the paper's Figure 4). One instance per computing process.
 //
-// Local fetches return zero-copy VertexProp views into the shared-memory
-// shard. Remote fetches issue asynchronous RPC requests and decode the
+// Every read is pinned to one concrete graph version (DESIGN.md §15):
+// own-shard reads go through a ShardSnapshot of the process's versioned
+// store (zero-copy VertexProp views for clean rows), remote fetches issue
+// asynchronous RPC requests whose header carries the pin and decode the
 // response into a NeighborBatch exposing the same VertexProp API.
 #pragma once
 
@@ -204,27 +206,31 @@ struct RetryPolicy {
 
 class DistGraphStorage {
  public:
-  /// `rrefs[j]` must reference *node* j's storage service; `shard_id` is
-  /// this process's own shard; `local_shard` points at the local shard in
-  /// shared memory. `routing` is the live shard→node table — every remote
-  /// fetch resolves its destination through it, never by assuming
-  /// node == shard. The table is shared: a ROUTE_UPDATE applied anywhere
-  /// on this machine redirects this storage's next fetch.
+  /// `rrefs[j]` must reference *node* j's storage service; `store` is this
+  /// process's own shard in shared memory (the shard id is the store's)
+  /// and `tracker` the process-wide version plane every pin resolves
+  /// against (DESIGN.md §15). `routing` is the live shard→node table —
+  /// every remote fetch resolves its destination through it, never by
+  /// assuming node == shard. The table is shared: a ROUTE_UPDATE applied
+  /// anywhere on this machine redirects this storage's next fetch.
   DistGraphStorage(RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs,
-                   ShardId shard_id,
-                   std::shared_ptr<const GraphShard> local_shard,
+                   std::shared_ptr<VersionedShardStore> store,
+                   std::shared_ptr<VersionTracker> tracker,
                    std::shared_ptr<RoutingTable> routing);
 
   /// Convenience: a private routing table seeded with `shard_map` (or the
   /// classic identity deployment over `rrefs.size()` shards when the
   /// default-constructed map is passed).
   DistGraphStorage(RpcEndpoint& endpoint, std::vector<RemoteRef> rrefs,
-                   ShardId shard_id,
-                   std::shared_ptr<const GraphShard> local_shard,
+                   std::shared_ptr<VersionedShardStore> store,
+                   std::shared_ptr<VersionTracker> tracker,
                    ShardMap shard_map = {});
 
   ShardId shard_id() const { return shard_id_; }
   int num_shards() const { return routing_->num_shards(); }
+  /// Base CSR the storage was built on: core-node ids and the halo cache
+  /// (neither changes under mutation or compaction). Adjacency reads go
+  /// through local_store() snapshots.
   const GraphShard& local_shard() const { return *local_shard_; }
 
   /// Snapshot of the epoch-tagged shard→node placement this client
@@ -241,37 +247,19 @@ class DistGraphStorage {
   void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
   const RetryPolicy& retry_policy() const { return policy_; }
 
-  /// Attach the versioned storage plane (DESIGN.md §15): the local
-  /// shard's mutable store and the process-wide version tracker. Without
-  /// this (legacy deployments, unit fixtures) every fetch stays on the
-  /// immutable wire-v2 path and the base CSR serves self-shard reads.
-  void attach_version_plane(std::shared_ptr<VersionedShardStore> store,
-                            std::shared_ptr<VersionTracker> tracker) {
-    local_store_ = std::move(store);
-    tracker_ = std::move(tracker);
-  }
-  const std::shared_ptr<VersionedShardStore>& local_store() const {
-    return local_store_;
-  }
-  const std::shared_ptr<VersionTracker>& version_tracker() const {
-    return tracker_;
-  }
+  /// The versioned plane (DESIGN.md §15): this shard's mutable store and
+  /// the process-wide version tracker.
+  VersionedShardStore& local_store() const { return *local_store_; }
+  const VersionTracker& version_tracker() const { return *tracker_; }
 
   /// True when the local halo copies of shard `dst` rows (filled at
-  /// version 0) are still valid under pin `graph_version`: either the
-  /// shard was never mutated, or a concrete pin predates its first
-  /// mutation. A kVersionLatest pin on a mutated shard must skip the
-  /// halo and read through the owner's snapshot.
+  /// version 0) are still valid under pin `graph_version`: the shard was
+  /// never mutated, or the pin predates its first mutation. Otherwise the
+  /// halo is skipped and the rows read through the owner's snapshot.
   bool halo_valid_at(ShardId dst, std::uint64_t graph_version) const {
-    if (tracker_ == nullptr) return true;
     const std::uint64_t first = tracker_->first_mutation(dst);
-    if (first == 0) return true;  // never mutated
-    return graph_version != kVersionLatest && graph_version < first;
+    return first == 0 || graph_version < first;
   }
-
-  /// Shared-memory local fetch: zero-copy views, no serialization.
-  std::vector<VertexProp> get_neighbor_infos_local(
-      std::span<const NodeId> locals) const;
 
   /// True when the local shard carries the halo-adjacency cache (see
   /// GraphShard), letting first-hop "remote" requests be served locally.
@@ -319,40 +307,36 @@ class DistGraphStorage {
     std::vector<NodeId> miss_locals;
     std::vector<std::size_t> miss_indices;
   };
-  /// `graph_version` is the calling query's pin; the shard's
-  /// last-mutation version (from the attached tracker) decides entry
-  /// validity — see AdjacencyCache::lookup's version contract.
-  AdjacencySplit split_by_adjacency_cache(
-      ShardId dst, std::span<const NodeId> locals, CachedRowArena& arena,
-      std::uint64_t graph_version = kVersionLatest) const;
+  /// `graph_version` is the calling query's (concrete) pin; the shard's
+  /// last-mutation version from the tracker decides entry validity — see
+  /// AdjacencyCache::lookup's version contract.
+  AdjacencySplit split_by_adjacency_cache(ShardId dst,
+                                          std::span<const NodeId> locals,
+                                          CachedRowArena& arena,
+                                          std::uint64_t graph_version) const;
 
   /// Feed rows decoded from a remote response into the adjacency cache
   /// (no-op when the cache is off). `locals[t]` names `rows[t]`;
   /// `graph_version` is the pin the rows were fetched under.
-  void insert_adjacency_rows(
-      ShardId dst, std::span<const NodeId> locals, const NeighborBatch& rows,
-      std::uint64_t graph_version = kVersionLatest) const;
+  void insert_adjacency_rows(ShardId dst, std::span<const NodeId> locals,
+                             const NeighborBatch& rows,
+                             std::uint64_t graph_version) const;
 
-  /// Shard `dst`'s last-mutation version per the attached tracker
-  /// (0 when no tracker or never mutated).
+  /// Shard `dst`'s last-mutation version (0 = never mutated).
   std::uint64_t shard_last_mutation(ShardId dst) const {
-    return tracker_ != nullptr ? tracker_->last_mutation(dst) : 0;
+    return tracker_->last_mutation(dst);
   }
 
-  /// Resolve a query's requested pin at admission: an explicit version
-  /// sticks; "latest" becomes the newest PUBLISHED version once any
-  /// mutation has landed (so the query holds one coherent snapshot for
-  /// its whole run), and stays kVersionLatest on a never-mutated
-  /// deployment — preserving the legacy wire frames byte for byte.
+  /// Resolve a requested pin at admission: an explicit version sticks;
+  /// kVersionLatest becomes the newest PUBLISHED version (0 before any
+  /// mutation), so the query holds one coherent snapshot for its whole
+  /// run. Every fetch below resolves its `graph_version` through here, so
+  /// only concrete versions reach the wire.
   std::uint64_t resolve_pin(std::uint64_t requested) const {
-    if (requested != kVersionLatest) return requested;
-    if (tracker_ != nullptr && tracker_->any_mutation()) {
-      return tracker_->published();
-    }
-    return kVersionLatest;
+    return requested != kVersionLatest ? requested : tracker_->published();
   }
 
-  /// Local fetch through the full serialize/deserialize path (used to
+  /// Own-shard fetch through the full serialize/deserialize path (used to
   /// quantify what the VertexProp zero-copy path saves).
   NeighborBatch get_neighbor_infos_local_serialized(
       std::span<const NodeId> locals, const FetchOptions& options = {}) const;
@@ -370,8 +354,7 @@ class DistGraphStorage {
       std::uint64_t graph_version = kVersionLatest) const;
 
   /// Sample one outgoing neighbor for each source; local or remote.
-  /// `graph_version` pins the draw to one snapshot (kVersionLatest keeps
-  /// the legacy unversioned frame, byte-identical to wire v2).
+  /// `graph_version` pins the draw to one snapshot.
   SampleResult sample_one_neighbor(
       ShardId dst, std::span<const NodeId> locals, std::uint64_t seed,
       std::uint64_t graph_version = kVersionLatest) const;
@@ -391,12 +374,12 @@ class DistGraphStorage {
   static KSampleResult decode_k_sample(
       std::span<const std::uint8_t> payload);
 
-  /// Weighted degrees of core nodes of shard `dst` at the newest
-  /// version — the mutation coordinator's pre-insert hint fetch
-  /// (EdgeInsert::nbr_weighted_deg). Served locally when `dst` is the
-  /// attached store's shard.
-  std::vector<float> get_weighted_degrees(
-      ShardId dst, std::span<const NodeId> locals) const;
+  /// Weighted degrees of core nodes of shard `dst` at `graph_version` —
+  /// the mutation coordinator's pre-insert hint fetch
+  /// (EdgeInsert::nbr_weighted_deg). Served locally for the own shard.
+  std::vector<float> get_weighted_degrees(ShardId dst,
+                                          std::span<const NodeId> locals,
+                                          std::uint64_t graph_version) const;
 
   /// Apply one MutationBatch at an explicit version on a SPECIFIC node's
   /// copy of `shard` — addressed directly (owner first, then every
@@ -429,25 +412,20 @@ class DistGraphStorage {
   /// header's epoch in place. Each send ships a pooled copy.
   RpcFuture issue_storage_call(StorageCall& call) const;
 
-  /// Emit the request header for a read pinned at `graph_version`:
-  /// legacy bytes for kVersionLatest, the flagged wire-v3 form otherwise.
+  /// Emit the request header for a read at the resolved `graph_version`.
   void write_fetch_header(ByteWriter& w, ShardId dst,
                           std::uint64_t graph_version) const {
-    if (graph_version == kVersionLatest) {
-      write_storage_header(w, dst, routing_->epoch());
-    } else {
-      write_storage_header_versioned(w, dst, routing_->epoch(),
-                                     graph_version);
-    }
+    write_storage_header(w, dst, routing_->epoch(),
+                         resolve_pin(graph_version));
   }
 
   RpcEndpoint& endpoint_;
   std::vector<RemoteRef> rrefs_;  // indexed by node id
   std::shared_ptr<RoutingTable> routing_;
+  std::shared_ptr<VersionedShardStore> local_store_;
+  std::shared_ptr<VersionTracker> tracker_;
   ShardId shard_id_;
   std::shared_ptr<const GraphShard> local_shard_;
-  std::shared_ptr<VersionedShardStore> local_store_;  // may be null
-  std::shared_ptr<VersionTracker> tracker_;           // may be null
   RetryPolicy policy_;
   mutable FetchStats stats_;
   // Shared across the machine's computing processes; mutable because the

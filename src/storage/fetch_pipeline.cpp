@@ -20,8 +20,13 @@ obs::Histogram& phase_histogram(Phase p) {
 }
 }  // namespace
 
-FetchPipeline::FetchPipeline(const DistGraphStorage& storage)
-    : storage_(storage) {
+FetchPipeline::FetchPipeline(const DistGraphStorage& storage,
+                             std::uint64_t graph_version)
+    : storage_(storage),
+      pin_(storage.resolve_pin(graph_version)),
+      // Freeze the self-shard now: every round reads the same snapshot no
+      // matter how many mutations land while the pipeline runs.
+      snapshot_(storage.local_store().snapshot(pin_)) {
   const auto ns = static_cast<std::size_t>(storage.num_shards());
   union_locals_.resize(ns);
   union_index_.resize(ns);
@@ -36,19 +41,10 @@ FetchPipeline::FetchPipeline(const DistGraphStorage& storage)
   batches_.resize(ns);
 }
 
-void FetchPipeline::pin(std::uint64_t graph_version) {
-  pin_ = graph_version;
-  const auto& store = storage_.local_store();
-  // Freeze the self-shard now: every round of this query reads the same
-  // snapshot no matter how many mutations land while it runs. Without a
-  // store (legacy deployments) the base CSR serves, as before.
-  snapshot_ = store != nullptr ? store->snapshot(pin_) : nullptr;
-}
-
 void FetchPipeline::begin_round() {
   // Merged-row views handed out last round pointed into the snapshot's
   // scratch arena; recycle it with the rest of the round scratch.
-  if (snapshot_ != nullptr) snapshot_->reset_scratch();
+  snapshot_->reset_scratch();
   for (std::size_t j = 0; j < union_locals_.size(); ++j) {
     union_locals_[j].clear();
     union_index_[j].clear();
@@ -188,16 +184,10 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
   if (!union_locals_[self].empty()) {
     ScopedPhase phase(t, Phase::kLocalFetch);
     WallTimer wall;
-    if (snapshot_ != nullptr) {
-      // Versioned self-shard: the pinned snapshot serves (clean shards
-      // delegate straight to the base CSR — same views, same bytes).
-      resolved_[self] = snapshot_->get_neighbor_infos(union_locals_[self]);
-      storage_.stats().local_nodes.fetch_add(union_locals_[self].size(),
-                                             std::memory_order_relaxed);
-    } else {
-      resolved_[self] =
-          storage_.get_neighbor_infos_local(union_locals_[self]);
-    }
+    // The pinned snapshot serves (clean rows are zero-copy base views).
+    resolved_[self] = snapshot_->get_neighbor_infos(union_locals_[self]);
+    storage_.stats().local_nodes.fetch_add(union_locals_[self].size(),
+                                           std::memory_order_relaxed);
     sources_[self].assign(resolved_[self].size(), RowSource::kLocal);
     stats_.rows_local += resolved_[self].size();
     phase_histogram(Phase::kLocalFetch).record(wall.micros());

@@ -1,9 +1,12 @@
-// Unified remote-fetch pipeline: the one cache-aware Batch/Compress/
-// Overlap resolution path shared by every distributed traversal operator
-// (single-query SSPPR, the multi-query lockstep driver, BFS, random walk).
+// Unified fetch pipeline: the one cache-aware Batch/Compress/Overlap
+// resolution path shared by every distributed traversal operator (the
+// SSPPR batch driver, BFS, random walk, node2vec, the ShaDow subgraph
+// builder), for own-shard and remote rows alike.
 //
-// Each round, callers add the <shard, local id> pairs their frontier
-// needs; execute() then runs the full resolution cascade per shard:
+// A pipeline is pinned to one graph version for its whole life. Each
+// round, callers add the <shard, local id> pairs their frontier needs;
+// execute() then resolves own-shard rows through the pinned snapshot and
+// runs the full resolution cascade per remote shard:
 //
 //   1. halo-cache split      — rows resident in the static 1-hop halo
 //                              cache are served zero-copy (§3.2.1);
@@ -126,19 +129,16 @@ class FetchPipeline {
     }
   };
 
-  explicit FetchPipeline(const DistGraphStorage& storage);
+  /// Pin every round to one graph version (DESIGN.md §15), resolved
+  /// once through DistGraphStorage::resolve_pin (the default reads the
+  /// newest published version): fetch RPCs carry it, adjacency-cache
+  /// validity is judged against it, the halo split is skipped for shards
+  /// mutated at or before it, and self-shard rows are served through a
+  /// snapshot frozen at it.
+  explicit FetchPipeline(const DistGraphStorage& storage,
+                         std::uint64_t graph_version = kVersionLatest);
 
   const DistGraphStorage& storage() const { return storage_; }
-
-  /// Pin every subsequent round to one graph version (DESIGN.md §15):
-  /// fetch RPCs carry it, adjacency-cache validity is judged against it,
-  /// the halo split is skipped for shards mutated at or before it, and
-  /// self-shard rows are served through a snapshot frozen at it. Called
-  /// once by the driver before its first round; kVersionLatest (the
-  /// default) keeps the legacy byte-identical wire path and is what
-  /// never-mutated deployments stay on.
-  void pin(std::uint64_t graph_version);
-  std::uint64_t pin() const { return pin_; }
 
   /// Drop the previous round's rows and pending fetches (capacity kept).
   void begin_round();
@@ -201,9 +201,8 @@ class FetchPipeline {
   std::vector<NeighborBatch> batches_;
 
   // Version pin of the owning query; snapshot_ freezes the self-shard at
-  // it when the storage carries a versioned store (null otherwise — the
-  // base CSR serves, exactly the pre-§15 path).
-  std::uint64_t pin_ = kVersionLatest;
+  // it.
+  std::uint64_t pin_;
   std::shared_ptr<const ShardSnapshot> snapshot_;
 
   FetchPipelineStats stats_;

@@ -40,12 +40,12 @@ inline const char* wire_codec_name(WireCodec c) {
   return c == WireCodec::kDeltaVarint ? "varint" : "flat";
 }
 
-/// Graph-version sentinel: "serve the newest applied version". Requests
-/// carrying it go on the wire as legacy (unversioned) storage frames —
-/// byte-identical to the pre-versioning protocol — so a never-mutated
-/// deployment pays nothing for the versioned storage plane. Distinct from
-/// the ROUTING epoch (ShardMap): the routing epoch versions *placement*,
-/// the graph version versions *data* (DESIGN.md §15 glossary).
+/// Graph-version sentinel of option defaults: "read the newest published
+/// version". Admission (DistGraphStorage::resolve_pin) turns it into a
+/// concrete version — 0 on a never-mutated graph — so it never reaches
+/// the wire, a cache or a snapshot pin. Distinct from the ROUTING epoch
+/// (ShardMap): the routing epoch versions *placement*, the graph version
+/// versions *data* (DESIGN.md §15 glossary).
 inline constexpr std::uint64_t kVersionLatest = ~std::uint64_t{0};
 
 /// Per-fetch wire options, next to the pre-existing `compress` knob. The
@@ -62,8 +62,8 @@ struct FetchOptions {
   /// queries).
   bool need_weights = true;
   /// Pinned graph version the response must be assembled at; the
-  /// kVersionLatest sentinel means "newest applied" and keeps the request
-  /// frame in the legacy (unversioned) layout.
+  /// kVersionLatest default resolves to the newest published version
+  /// when the request is issued.
   std::uint64_t graph_version = kVersionLatest;
 };
 

@@ -103,11 +103,11 @@ std::vector<std::uint8_t> GraphStorageService::stale_route_reply(
 std::vector<std::uint8_t> GraphStorageService::handle(
     const std::string& method, std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  // [shard, routing epoch, optional graph version]. The routing epoch is
-  // not an admission check: installed shards serve any epoch (reads are
-  // pinned by graph version, not placement); it exists so redirects and
-  // tracing can name the epoch the caller routed with. The graph version,
-  // when present, pins every read below to one snapshot.
+  // [shard, routing epoch, graph version]. The routing epoch is not an
+  // admission check: installed shards serve any epoch (reads are pinned by
+  // graph version, not placement); it exists so redirects and tracing can
+  // name the epoch the caller routed with. The graph version pins every
+  // read below to one snapshot and names the version a mutation creates.
   const StorageHeader header = read_storage_header(r);
   const auto shard_id = header.shard;
 
@@ -152,9 +152,9 @@ std::vector<std::uint8_t> GraphStorageService::dispatch(
   VersionedShardStore& store = *entry.store;
 
   if (method == storage_method::kMutateEdges) {
-    const auto version = r.read<std::uint64_t>();
-    store.apply(version, MutationBatch::decode(r));
-    w.write<std::uint64_t>(version);  // ack echoes the applied version
+    store.apply(header.graph_version, MutationBatch::decode(r));
+    // The ack echoes the applied version.
+    w.write<std::uint64_t>(header.graph_version);
     return w.take();
   }
   if (method == storage_method::kSnapshotShard) {
@@ -164,8 +164,7 @@ std::vector<std::uint8_t> GraphStorageService::dispatch(
 
   // Every read method serves through ONE pinned snapshot: the reply can
   // never mix versions, no matter how many mutations land concurrently.
-  const auto snap = store.snapshot(
-      header.versioned ? header.graph_version : kVersionLatest);
+  const auto snap = store.snapshot(header.graph_version);
 
   if (method == storage_method::kGetNeighborInfos) {
     const auto flags = r.read<std::uint8_t>();

@@ -14,10 +14,10 @@
 // round.
 //
 // Versioned storage plane (DESIGN.md §15): each installed shard is a
-// VersionedShardStore. Read requests may carry a pinned graph version
-// (wire v3 header, backward compatible — legacy frames read as "newest");
-// every read method serves through one ShardSnapshot, so a reply never
-// mixes two versions even while MutateEdges RPCs land concurrently.
+// VersionedShardStore. Every request header carries a concrete graph
+// version; every read method serves through one ShardSnapshot pinned at
+// it, so a reply never mixes two versions even while MutateEdges RPCs
+// land concurrently.
 #pragma once
 
 #include <condition_variable>
@@ -46,7 +46,7 @@ inline constexpr const char* kNumCoreNodes = "num_core_nodes";
 /// Full store snapshot (VersionedShardStore::serialize: base CSR +
 /// pending delta segments) — the migration / replica-bootstrap copy.
 inline constexpr const char* kSnapshotShard = "snapshot_shard";
-/// Apply one MutationBatch at an explicit graph version (DESIGN.md §15).
+/// Apply one MutationBatch at the header's graph version (DESIGN.md §15).
 /// Routed by the mutation coordinator to the shard owner and every
 /// replica in version order.
 inline constexpr const char* kMutateEdges = "mutate_edges";
@@ -63,54 +63,39 @@ inline constexpr std::uint8_t kStorageReplyOk = 0;
 /// this node's current ShardMap (encoded) — re-resolve and retry.
 inline constexpr std::uint8_t kStorageReplyStaleRoute = 1;
 
-/// Every storage request opens with this header. The routing epoch sits
-/// at a fixed offset so a retry can patch it in place without
-/// re-encoding (the patch must preserve the versioned-flag bit below).
+/// Every storage request opens with this 20-byte header:
+/// [shard:i32][routing epoch:u64][graph version:u64]. The routing epoch
+/// sits at a fixed offset so a retry can patch it in place without
+/// re-encoding.
 inline constexpr std::size_t kStorageEpochOffset = sizeof(std::int32_t);
 inline constexpr std::size_t kStorageHeaderBytes =
-    sizeof(std::int32_t) + sizeof(std::uint64_t);
-
-/// Top bit of the header's routing-epoch word: the header continues with
-/// a pinned graph version (u64). Legacy (wire v2) frames leave it clear
-/// and decode unchanged as "serve the newest version" — so a deployment
-/// that never mutates keeps emitting byte-identical request frames.
-inline constexpr std::uint64_t kStorageVersionedFlag = std::uint64_t{1}
-                                                      << 63;
+    sizeof(std::int32_t) + 2 * sizeof(std::uint64_t);
 
 /// Decoded request header. `routing_epoch` versions shard *placement*
 /// (ShardMap); `graph_version` versions the *data* (DESIGN.md §15
-/// glossary) — kVersionLatest when the frame was unversioned.
+/// glossary) and is always a concrete published version.
 struct StorageHeader {
   ShardId shard = 0;
   std::uint64_t routing_epoch = 0;
-  std::uint64_t graph_version = kVersionLatest;
-  bool versioned = false;
+  std::uint64_t graph_version = 0;
 };
 
+/// Decode the header; a frame shorter than it is InvalidArgument.
 inline StorageHeader read_storage_header(ByteReader& r) {
+  GE_REQUIRE(r.remaining() >= kStorageHeaderBytes,
+             "storage request shorter than its header");
   StorageHeader h;
   h.shard = r.read<std::int32_t>();
-  const auto word = r.read<std::uint64_t>();
-  h.routing_epoch = word & ~kStorageVersionedFlag;
-  h.versioned = (word & kStorageVersionedFlag) != 0;
-  if (h.versioned) h.graph_version = r.read<std::uint64_t>();
+  h.routing_epoch = r.read<std::uint64_t>();
+  h.graph_version = r.read<std::uint64_t>();
   return h;
 }
 
-/// Legacy (unversioned) header: [shard:i32][routing epoch:u64].
 inline void write_storage_header(ByteWriter& w, ShardId shard,
-                                 std::uint64_t epoch) {
+                                 std::uint64_t epoch,
+                                 std::uint64_t graph_version) {
   w.write<std::int32_t>(shard);
   w.write<std::uint64_t>(epoch);
-}
-
-/// Versioned header: the epoch word carries kStorageVersionedFlag and a
-/// pinned graph version follows. Emitted only for concrete pins.
-inline void write_storage_header_versioned(ByteWriter& w, ShardId shard,
-                                           std::uint64_t epoch,
-                                           std::uint64_t graph_version) {
-  w.write<std::int32_t>(shard);
-  w.write<std::uint64_t>(epoch | kStorageVersionedFlag);
   w.write<std::uint64_t>(graph_version);
 }
 

@@ -603,7 +603,6 @@ void VersionTracker::note_shard_mutation(ShardId shard,
   // Mutations are coordinated under one process-wide mutation lock, so
   // `last` only moves forward.
   s.last.store(version, std::memory_order_release);
-  any_.store(true, std::memory_order_release);
 }
 
 std::uint64_t VersionTracker::first_mutation(ShardId shard) const {

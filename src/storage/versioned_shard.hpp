@@ -282,20 +282,11 @@ class VersionTracker {
   void publish(std::uint64_t version) {
     published_.store(version, std::memory_order_release);
   }
-  /// True once any mutation was ever noted; drivers with no explicit pin
-  /// keep emitting legacy (unversioned) frames until this flips.
-  bool any_mutation() const { return any_.load(std::memory_order_acquire); }
 
   void note_shard_mutation(ShardId shard, std::uint64_t version);
   /// 0 = shard never mutated.
   std::uint64_t first_mutation(ShardId shard) const;
   std::uint64_t last_mutation(ShardId shard) const;
-
-  /// kVersionLatest → newest published version; concrete pins pass
-  /// through.
-  std::uint64_t resolve(std::uint64_t version) const {
-    return version == kVersionLatest ? published() : version;
-  }
 
  private:
   struct PerShard {
@@ -306,7 +297,6 @@ class VersionTracker {
   std::size_t num_shards_ = 0;
   std::unique_ptr<PerShard[]> shards_;
   std::atomic<std::uint64_t> published_{0};
-  std::atomic<bool> any_{false};
 };
 
 }  // namespace ppr

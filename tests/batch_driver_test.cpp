@@ -186,6 +186,20 @@ TEST_F(BatchDriverFixture, SingleQueryBatchMatchesComputeSsppr) {
   EXPECT_EQ(states[0].num_pushes(), ref.num_pushes());
 }
 
+// Single (batch = false) is run_ssppr's ablation only: the batch driver
+// rejects it instead of silently running batched.
+TEST_F(BatchDriverFixture, UnbatchedOptionsAreRejected) {
+  auto cluster = make_cluster(false, 0);
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
+  std::vector<SspprState> states;
+  states.emplace_back(pick_sources(*cluster, 0, 1)[0], ppr);
+  DriverOptions unbatched;
+  unbatched.batch = false;
+  EXPECT_THROW(run_ssppr_batch(cluster->storage(0), states, unbatched),
+               InvalidArgument);
+  EXPECT_EQ(states[0].num_pushes(), 0u);
+}
+
 TEST_F(BatchDriverFixture, ResetStateMatchesFreshState) {
   auto cluster = make_cluster(false, 0);
   const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};

@@ -216,6 +216,18 @@ TEST(Handshake, WelcomesMatchingPeer) {
   EXPECT_TRUE(v.reason.empty());
 }
 
+// A v2 peer speaks the 12-byte storage header (and its flagged versioned
+// form); the v3 mesh must refuse it at the handshake, before any storage
+// frame is exchanged.
+TEST(Handshake, RejectsProtocolV2Peer) {
+  ASSERT_EQ(kClusterProtocolVersion, 3);
+  HelloFrame h = good_hello();
+  h.version = 2;
+  const HelloVerdict v = validate_hello(h, expectation());
+  EXPECT_EQ(v.status, HelloStatus::kVersionMismatch);
+  EXPECT_NE(v.reason.find("v2"), std::string::npos) << v.reason;
+}
+
 TEST(Handshake, RejectsEveryMismatchClass) {
   {
     HelloFrame h = good_hello();

@@ -5,6 +5,9 @@
 // when enabled, and restored by the RAII guard".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/serialize.hpp"
 #include "common/timer.hpp"
 #include "rpc/endpoint.hpp"
@@ -83,9 +86,12 @@ TEST(MarshalModel, ChargesTensorWrappedOnly) {
 }
 
 TEST(NetworkModelDelay, SlowsCrossMachineMessagesOnly) {
-  // Self-messages bypass the network model entirely.
+  // Self-messages bypass the network model entirely. The modelled delay
+  // sits well above scheduler noise: on a loaded host (a sanitizer run
+  // next to spinning OpenMP tests) one self call alone can take ~12 ms.
+  constexpr double kDelayUs = 20000.0;
   auto transport =
-      std::make_shared<InProcTransport>(2, NetworkModel{2000.0, 0.0});
+      std::make_shared<InProcTransport>(2, NetworkModel{kDelayUs, 0.0});
   RpcEndpoint ep0(transport, 0);
   RpcEndpoint ep1(transport, 1);
   const auto echo = [](const std::string&, std::span<const std::uint8_t> p) {
@@ -94,16 +100,23 @@ TEST(NetworkModelDelay, SlowsCrossMachineMessagesOnly) {
   ep0.register_service("echo", echo);
   ep1.register_service("echo", echo);
 
-  WallTimer self_timer;
-  (void)ep0.sync_call(0, "echo", "m", {1});
-  const double self_time = self_timer.seconds();
+  // Best of a few calls per path: the modelled delay is a floor under
+  // every cross-machine call, while the host can stall any single call.
+  const auto best_call_seconds = [&](int dst) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 3; ++i) {
+      WallTimer timer;
+      (void)ep0.sync_call(dst, "echo", "m", {1});
+      best = std::min(best, timer.seconds());
+    }
+    return best;
+  };
+  const double self_time = best_call_seconds(0);
+  const double cross_time = best_call_seconds(1);
 
-  WallTimer cross_timer;
-  (void)ep0.sync_call(1, "echo", "m", {1});
-  const double cross_time = cross_timer.seconds();
-
-  // Cross-machine pays 2 x 2ms (request + response); self pays neither.
-  EXPECT_GT(cross_time, 3.5e-3);
+  // Cross-machine pays 2 x the delay (request + response); self pays
+  // neither.
+  EXPECT_GT(cross_time, 1.75 * kDelayUs * 1e-6);
   EXPECT_LT(self_time, cross_time);
 }
 

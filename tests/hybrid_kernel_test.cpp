@@ -207,8 +207,9 @@ TEST_F(HybridKernelFixture, PromoteDemoteRoundTripIsLossFree) {
       const NodeId one_node[] = {nodes[i]};
       const ShardId one_shard[] = {shards[i]};
       if (shards[i] == self) {
-        state.push(storage.get_neighbor_infos_local(one_node), one_node,
-                   one_shard);
+        state.push(storage.local_store().snapshot(0)->get_neighbor_infos(
+                       one_node),
+                   one_node, one_shard);
       } else {
         state.push(
             storage.get_neighbor_info_single_async(shards[i], nodes[i])
@@ -281,7 +282,9 @@ TEST_F(HybridKernelFixture, ArbitrarySwitchScheduleBitIdentical) {
         }
         if (loc.empty()) return;
         if (target == self) {
-          state.push(storage.get_neighbor_infos_local(loc), loc, shv);
+          state.push(
+              storage.local_store().snapshot(0)->get_neighbor_infos(loc),
+              loc, shv);
           return;
         }
         batches.clear();

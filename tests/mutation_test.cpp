@@ -200,64 +200,52 @@ TEST_F(MutationFixture, DeleteThenReinsertAcrossVersions) {
 }
 
 // ---------------------------------------------------------------------
-// Version-0 invariance: a never-mutated store resolves to the legacy
-// unversioned path and serves base rows untouched.
+// Version-0 invariance: a never-mutated store resolves "latest" to the
+// concrete version 0 and serves base rows untouched.
 
 TEST_F(MutationFixture, NeverMutatedStoreResolvesToLatest) {
   auto cluster = make_cluster();
   EXPECT_EQ(cluster->graph_version(), 0u);
-  EXPECT_EQ(cluster->storage(0).resolve_pin(kVersionLatest), kVersionLatest);
-  // An explicit pin sticks even without mutations.
-  EXPECT_EQ(cluster->storage(0).resolve_pin(0), 0u);
+  EXPECT_EQ(cluster->storage(0).resolve_pin(kVersionLatest), 0u);
+  // An explicit pin sticks.
+  EXPECT_EQ(cluster->storage(0).resolve_pin(3), 3u);
 
-  // Results agree between the legacy path and an explicit version-0 pin.
+  // Results agree between the default options and an explicit
+  // version-0 pin.
   const SspprOptions ppr{.alpha = kAlpha, .epsilon = kEps};
   for (const NodeRef src : pick_sources(*cluster, 0, 3)) {
-    const SspprState legacy =
+    const SspprState unpinned =
         compute_ssppr(cluster->storage(0), src, ppr, DriverOptions{});
     const SspprState pinned =
         compute_ssppr(cluster->storage(0), src, ppr, pinned_driver(0));
-    expect_identical(sorted_ppr(pinned), sorted_ppr(legacy), "pin0");
-    EXPECT_EQ(pinned.num_pushes(), legacy.num_pushes());
+    expect_identical(sorted_ppr(pinned), sorted_ppr(unpinned), "pin0");
+    EXPECT_EQ(pinned.num_pushes(), unpinned.num_pushes());
   }
 }
 
 TEST_F(MutationFixture, WireHeaderVersionRoundtrip) {
-  // Legacy frame decodes as "newest version".
-  ByteWriter legacy;
-  write_storage_header(legacy, 2, 7);
-  auto legacy_bytes = std::move(legacy).take();
+  // One 20-byte layout: [shard][routing epoch][graph version].
+  ByteWriter w;
+  write_storage_header(w, 1, 9, 42);
+  auto bytes = std::move(w).take();
+  ASSERT_EQ(bytes.size(), kStorageHeaderBytes);
   {
-    ByteReader r(legacy_bytes);
-    const StorageHeader h = read_storage_header(r);
-    EXPECT_EQ(h.shard, 2);
-    EXPECT_EQ(h.routing_epoch, 7u);
-    EXPECT_FALSE(h.versioned);
-    EXPECT_EQ(h.graph_version, kVersionLatest);
-  }
-  // Versioned frame carries the pin; the epoch word keeps its value.
-  ByteWriter v3;
-  write_storage_header_versioned(v3, 1, 9, 42);
-  auto v3_bytes = std::move(v3).take();
-  {
-    ByteReader r(v3_bytes);
+    ByteReader r(bytes);
     const StorageHeader h = read_storage_header(r);
     EXPECT_EQ(h.shard, 1);
     EXPECT_EQ(h.routing_epoch, 9u);
-    EXPECT_TRUE(h.versioned);
     EXPECT_EQ(h.graph_version, 42u);
+    EXPECT_EQ(r.remaining(), 0u);
   }
-  // The retry path patches the epoch in place; the patch must preserve
-  // the versioned-flag bit (dist_storage.cpp does exactly this).
+  // The retry path patches the epoch in place (dist_storage.cpp does
+  // exactly this); shard and graph version are untouched.
   {
-    std::uint64_t word = 0;
-    std::memcpy(&word, v3_bytes.data() + kStorageEpochOffset, sizeof(word));
-    word = std::uint64_t{11} | (word & kStorageVersionedFlag);
-    std::memcpy(v3_bytes.data() + kStorageEpochOffset, &word, sizeof(word));
-    ByteReader r(v3_bytes);
+    const std::uint64_t epoch = 11;
+    std::memcpy(bytes.data() + kStorageEpochOffset, &epoch, sizeof(epoch));
+    ByteReader r(bytes);
     const StorageHeader h = read_storage_header(r);
+    EXPECT_EQ(h.shard, 1);
     EXPECT_EQ(h.routing_epoch, 11u);
-    EXPECT_TRUE(h.versioned);
     EXPECT_EQ(h.graph_version, 42u);
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "engine/cluster.hpp"
@@ -109,6 +110,38 @@ TEST_F(Node2vecFixture, DeterministicPerSeed) {
   const auto a = node2vec_walk(cluster_->storage(0), roots, opts);
   const auto b = node2vec_walk(cluster_->storage(0), roots, opts);
   EXPECT_EQ(a.walks, b.walks);
+}
+
+// Own-shard rows are read at the walk's pinned version, like remote
+// rows: once every edge of a root is deleted, its walk has nowhere to go
+// and stays in place.
+TEST_F(Node2vecFixture, WalksSkipDeletedOwnShardEdges) {
+  const GraphShard& shard = cluster_->shard(0);
+  NodeId root = -1;
+  for (NodeId l = 0; l < shard.num_core_nodes() && root < 0; ++l) {
+    const auto nbrs = graph_.neighbors(shard.core_global_id(l));
+    const NodeId g = shard.core_global_id(l);
+    if (!nbrs.empty() &&
+        std::find(nbrs.begin(), nbrs.end(), g) == nbrs.end()) {
+      root = l;
+    }
+  }
+  ASSERT_GE(root, 0);
+  const NodeId g = shard.core_global_id(root);
+  std::vector<EdgeMutationOp> ops;
+  for (const NodeId u : graph_.neighbors(g)) {
+    ops.push_back(EdgeMutationOp{.u = g, .v = u, .insert = false});
+  }
+  cluster_->apply_edge_mutations(ops);
+
+  const NodeId roots[] = {root};
+  Node2vecOptions opts;
+  opts.walk_length = 6;
+  const Node2vecResult res = node2vec_walk(cluster_->storage(0), roots, opts);
+  for (int t = 0; t < opts.walk_length; ++t) {
+    EXPECT_EQ(res.at(0, t).key(), (NodeRef{root, 0}.key()))
+        << "step " << t << " followed a deleted edge";
+  }
 }
 
 }  // namespace

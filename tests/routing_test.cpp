@@ -395,8 +395,8 @@ TEST_F(ElasticClusterTest, FailoverPromotesReplicaBitIdentically) {
     rrefs.emplace_back(&cluster_->endpoint(0), peer, kStorageServiceName);
   }
   DistGraphStorage promoted(cluster_->endpoint(0), rrefs,
-                            /*shard_id=*/2,
-                            cluster_->service(0).shard_ptr(2),
+                            cluster_->service(0).store_ptr(2),
+                            std::make_shared<VersionTracker>(kMachines),
                             ShardMap(*cluster_->routing(0).current()));
   const serve::QueryResult after = run_query(promoted, source);
   ASSERT_EQ(after.status, serve::QueryStatus::kOk);

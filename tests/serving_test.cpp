@@ -276,6 +276,43 @@ TEST_F(ServingFixture, ShutdownFlushesPendingQueries) {
   }
 }
 
+// Admission pins a concrete version even before the first mutation: a
+// query admitted at version 0 reads version 0, however many mutations
+// land while it waits in the queue.
+TEST_F(ServingFixture, AdmissionBeforeFirstMutationPinsVersionZero) {
+  ServeOptions o = base_options();
+  o.start_paused = true;
+  QueryService service(*cluster_, o);
+  const NodeId source = 5;
+  QueryFuture future = service.submit(source);
+
+  // A heavy new edge at the source changes its answer at version 1.
+  const NodeId far = (source + graph_.num_nodes() / 2) % graph_.num_nodes();
+  const EdgeMutationOp op{.u = source, .v = far, .weight = 50.0f};
+  ASSERT_EQ(cluster_->apply_edge_mutations(std::span(&op, 1)), 1u);
+  service.resume();
+  const QueryResult r = future.wait();
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+
+  const NodeRef src = cluster_->locate(source);
+  DriverOptions at0 = o.driver;
+  at0.graph_version = 0;
+  const Entries want = sorted_entries(
+      compute_ssppr(cluster_->storage(src.shard), src, o.ppr, at0)
+          .ppr_entries());
+  const Entries got = sorted_entries(r.ppr);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].first.key(), want[k].first.key());
+    ASSERT_EQ(got[k].second, want[k].second);  // bit-identical doubles
+  }
+  // The check has teeth: the newest version answers differently.
+  const Entries now = sorted_entries(
+      compute_ssppr(cluster_->storage(src.shard), src, o.ppr, o.driver)
+          .ppr_entries());
+  EXPECT_NE(now, want);
+}
+
 // A served query's spans form the chain the trace viewer shows: a
 // serve.query root, its queue wait and the executing batch as children,
 // the batch's per-round fetches below that, and the storage servers'

@@ -185,11 +185,13 @@ class DistStorageFixture : public ShardFixture {
                            peer, kStorageServiceName);
       }
       storages_.push_back(std::make_unique<DistGraphStorage>(
-          *endpoints_[static_cast<std::size_t>(m)], rrefs, m,
-          sharded_.shards[static_cast<std::size_t>(m)]));
+          *endpoints_[static_cast<std::size_t>(m)], rrefs,
+          services_[static_cast<std::size_t>(m)]->store_ptr(m), tracker_));
     }
   }
 
+  std::shared_ptr<VersionTracker> tracker_ =
+      std::make_shared<VersionTracker>(kShards);
   std::shared_ptr<Transport> transport_;
   std::vector<std::unique_ptr<RpcEndpoint>> endpoints_;
   std::vector<std::unique_ptr<GraphStorageService>> services_;
@@ -237,7 +239,8 @@ TEST_F(DistStorageFixture, SingleNodeFetchMatchesBatched) {
 TEST_F(DistStorageFixture, LocalSerializedPathMatchesZeroCopy) {
   const GraphShard& shard0 = *sharded_.shards[0];
   std::vector<NodeId> locals{0, 1, 2};
-  const auto views = storages_[0]->get_neighbor_infos_local(locals);
+  const auto snap = storages_[0]->local_store().snapshot(0);
+  const auto views = snap->get_neighbor_infos(locals);
   const NeighborBatch ser =
       storages_[0]->get_neighbor_infos_local_serialized(locals);
   ASSERT_EQ(views.size(), ser.size());
@@ -253,7 +256,7 @@ TEST_F(DistStorageFixture, LocalSerializedPathMatchesZeroCopy) {
 TEST_F(DistStorageFixture, StatsCountLocalAndRemote) {
   storages_[0]->stats().reset();
   std::vector<NodeId> locals{0, 1};
-  (void)storages_[0]->get_neighbor_infos_local(locals);
+  (void)storages_[0]->get_neighbor_infos_local_serialized(locals);
   (void)storages_[0]->get_neighbor_infos_async(1, locals).wait();
   EXPECT_EQ(storages_[0]->stats().local_nodes.load(), 2u);
   EXPECT_EQ(storages_[0]->stats().remote_nodes.load(), 2u);
@@ -279,7 +282,8 @@ TEST_F(DistStorageFixture, OutOfRangeRequestsSurfaceAsErrors) {
   std::vector<NodeId> bogus{999999};
   EXPECT_THROW(storages_[0]->get_neighbor_infos_async(1, bogus).wait(),
                RpcError);
-  EXPECT_THROW(storages_[0]->get_neighbor_infos_local(bogus),
+  EXPECT_THROW(storages_[0]->local_store().snapshot(0)->get_neighbor_infos(
+                   bogus),
                InvalidArgument);
   EXPECT_THROW((void)storages_[0]->get_neighbor_infos_async(99, bogus),
                InvalidArgument);

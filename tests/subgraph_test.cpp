@@ -162,5 +162,32 @@ TEST_F(SubgraphFixture, EgoNodesPresentWithFeatures) {
   }
 }
 
+// Own-shard rows are read at the batch's pinned version, like remote
+// rows: once every edge of a root is deleted, the induced subgraph keeps
+// none of them, in either direction.
+TEST_F(SubgraphFixture, ConvertBatchSkipsDeletedOwnShardEdges) {
+  const NodeId root = 3;
+  std::vector<SspprState> states;
+  states.push_back(run_query(root));
+  const ShardId shard = states[0].source().shard;
+  std::vector<EdgeMutationOp> ops;
+  for (const NodeId u : graph_.neighbors(root)) {
+    ops.push_back(EdgeMutationOp{.u = root, .v = u, .insert = false});
+  }
+  ASSERT_FALSE(ops.empty());
+  cluster_->apply_edge_mutations(ops);
+
+  const SubgraphBatch batch = convert_batch(
+      cluster_->storage(shard), *stores_[static_cast<std::size_t>(shard)],
+      cluster_->mapping(), states, 24, labels_);
+  ASSERT_GT(batch.num_nodes(), 1u);
+  const auto ego = static_cast<std::size_t>(batch.ego_idx[0]);
+  EXPECT_EQ(batch.indptr[ego + 1], batch.indptr[ego])
+      << "the root kept deleted edges";
+  for (const std::int32_t col : batch.adj) {
+    EXPECT_NE(col, batch.ego_idx[0]) << "a row kept a deleted edge";
+  }
+}
+
 }  // namespace
 }  // namespace ppr::gnn

@@ -17,6 +17,7 @@
 #include "rpc/buffer_pool.hpp"
 #include "rpc/message.hpp"
 #include "storage/shard.hpp"
+#include "storage/storage_service.hpp"
 
 namespace ppr {
 namespace {
@@ -342,6 +343,19 @@ TEST_F(WireCodecFixture, DecodeRejectsHostileFrames) {
     ByteReader r(w.bytes());
     EXPECT_THROW((void)NeighborBatch::decode_csr(r), InvalidArgument);
   }
+  // Storage request header: every strict prefix of the 20-byte header is
+  // rejected as InvalidArgument before any field is read.
+  {
+    ByteWriter w;
+    write_storage_header(w, 1, 9, 42);
+    const std::vector<std::uint8_t>& frame = w.bytes();
+    ASSERT_EQ(frame.size(), kStorageHeaderBytes);
+    for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+      ByteReader r(std::span<const std::uint8_t>(frame.data(), cut));
+      EXPECT_THROW((void)read_storage_header(r), InvalidArgument)
+          << "header prefix " << cut;
+    }
+  }
   // Flat frame whose indptr is non-monotone.
   {
     ByteWriter w;
@@ -432,6 +446,20 @@ TEST(ZeroAllocTest, SteadyStateFetchPathStopsAllocatingBuffers) {
   const auto run = [&] {
     (void)compute_ssppr(cluster.storage(src.shard), src, ppr, driver);
   };
+  // The fetch path holds at most three pooled buffers per in-flight RPC —
+  // the client's master request, the copy the server consumes, and the
+  // server's reply — and the driver keeps at most one RPC per remote
+  // shard in flight. The server recycles the request before it replies,
+  // so nothing is left in flight once a query returns; only how close a
+  // warm-up run comes to that peak depends on thread timing. Seed the
+  // pool to the peak, so the runs below must find every buffer there.
+  {
+    std::vector<std::vector<std::uint8_t>> seed;
+    for (int i = 0; i < 3 * (opts.num_machines - 1); ++i) {
+      seed.push_back(BufferPool::global().acquire(64));
+    }
+    for (auto& buf : seed) BufferPool::global().release(std::move(buf));
+  }
   for (int i = 0; i < 3; ++i) run();  // warm the pool
 
   const BufferPoolStats& stats = BufferPool::global().stats();
