@@ -5,15 +5,18 @@
 // and p50/p95/p99 latency (queue-wait / execute / end-to-end).
 //
 // The headline comparison is max_batch_size=1 (classic one-query-at-a-
-// time serving) vs adaptive micro-batching (max_batch_size >= 8): at
-// saturation the batched scheduler coalesces each round's remote fetches
-// across the batch, so goodput should beat batch-1 serving by >= 1.5x on
-// the default 4-shard synthetic workload.
+// time serving) vs work-conserving micro-batching (max_batch_size >= 8):
+// at saturation the batched scheduler coalesces each round's remote
+// fetches across the batch, so goodput should beat batch-1 serving by
+// >= 1.5x on the default 4-shard synthetic workload; at light load an
+// idle executor takes each query at once, so batching should cost
+// (almost) no latency against batch-1 serving.
 //
 // Flags: --nodes N --edges M --machines K --cache-rows R --eps E
 //        --qps 250,500,...     open-loop offered-load sweep
 //        --batches 1,16        max_batch_size sweep
-//        --delay-us D          max_batch_delay per batch point
+//        --delay-us D          max_batch_delay (hold cap while every
+//                              executor is busy) per batch point
 //        --queue Q             admission-queue bound per machine
 //        --deadline-us T       per-query deadline (0 = none)
 //        --queries N           arrivals per open-loop point

@@ -1,6 +1,8 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "common/rng.hpp"
 
@@ -185,6 +187,12 @@ std::vector<std::vector<EdgeMutationOp>> mutation_stream(
   for (int b = 0; b < num_batches; ++b) {
     std::vector<EdgeMutationOp> batch;
     batch.reserve(static_cast<std::size_t>(ops_per_batch));
+    // A segment applies its deletes before its inserts, so a delete of an
+    // edge this batch inserted would name an edge that does not exist yet.
+    // Such a delete is drawn (RNG and live list move as usual) but not
+    // emitted: the replayed graph then holds a superset of `live`, so every
+    // later delete still finds its edge.
+    std::set<std::pair<NodeId, NodeId>> inserted;
     for (int o = 0; o < ops_per_batch; ++o) {
       const bool do_insert =
           live.empty() ||
@@ -201,11 +209,14 @@ std::vector<std::vector<EdgeMutationOp>> mutation_stream(
         op.insert = true;
         batch.push_back(op);
         live.push_back({op.u, op.v});
+        inserted.insert(std::minmax(op.u, op.v));
       } else {
         const std::size_t pick = static_cast<std::size_t>(
             rng.next_u64(static_cast<std::uint64_t>(live.size())));
-        batch.push_back({live[pick].u, live[pick].v, 0.0f,
-                         /*insert=*/false});
+        const LiveEdge e = live[pick];
+        if (inserted.count(std::minmax(e.u, e.v)) == 0) {
+          batch.push_back({e.u, e.v, 0.0f, /*insert=*/false});
+        }
         live[pick] = live.back();
         live.pop_back();
       }

@@ -62,11 +62,14 @@ struct EdgeMutationOp {
 /// Seeded stream of mutation batches over an existing graph — the shared
 /// workload of the mutation tests and bench_mutations. Tracks the live
 /// edge multiset as it goes: every delete targets an edge that is live at
-/// that point of the stream (original or previously inserted), so
-/// replaying the batches in order against `g` is always valid; inserts
+/// that point of the stream (original or inserted by an EARLIER batch),
+/// so replaying the batches in order against `g` is always valid; inserts
 /// draw uniform random non-self-loop pairs with weights in (0, 1].
 /// Roughly `insert_fraction` of ops are inserts (deletes are forced to
-/// inserts while no live edge remains). Deterministic given `seed`.
+/// inserts while no live edge remains). A store applies a batch's deletes
+/// before its inserts, so a drawn delete of an edge its own batch inserted
+/// is dropped rather than emitted: a batch may hold fewer than
+/// `ops_per_batch` ops. Deterministic given `seed`.
 std::vector<std::vector<EdgeMutationOp>> mutation_stream(
     const Graph& g, int num_batches, int ops_per_batch,
     double insert_fraction, std::uint64_t seed);

@@ -105,6 +105,7 @@ void MachineScheduler::sweep_expired_locked(
 void MachineScheduler::dispatcher_loop() {
   const auto delay = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::micro>(options_.max_batch_delay_us));
+  const auto executors = static_cast<int>(executors_.size());
   for (;;) {
     std::vector<PendingQuery> expired;
     std::vector<PendingQuery> batch;
@@ -131,10 +132,14 @@ void MachineScheduler::dispatcher_loop() {
       if (stop_ && queue_.empty()) break;
       if (!stop_) {
         sweep_expired_locked(expired);
-        // Wait for the batch to fill, but never past the oldest query's
+        // Work-conserving hold: wait for co-riders only while every
+        // executor is busy, and then never past the oldest query's
         // batch-delay deadline nor past the earliest per-query deadline.
+        // finish_batch wakes this wait, so a freed executor takes the
+        // queue at once.
         while (!stop_ && !paused_ && !queue_.empty() &&
-               queue_.size() < options_.max_batch_size) {
+               queue_.size() < options_.max_batch_size &&
+               inflight_batches_ >= executors) {
           auto wake = queue_.front().enqueue_time + delay;
           for (const PendingQuery& q : queue_) {
             wake = std::min(wake, q.deadline);
@@ -188,10 +193,9 @@ void MachineScheduler::dispatcher_loop() {
     }
     if (batch.empty()) continue;
 
-    const auto dispatch_time = Clock::now();
-    stats_.on_batch(batch.size(), micros_between(oldest, dispatch_time));
-    auto job = [this, b = std::move(batch), oldest, dispatch_time]() mutable {
-      execute_batch(std::move(b), oldest, dispatch_time);
+    stats_.on_batch(batch.size(), micros_between(oldest, Clock::now()));
+    auto job = [this, b = std::move(batch)]() mutable {
+      execute_batch(std::move(b));
     };
     // Bounded handoff to the executors: when max_pending_batches batches
     // are already waiting, hold the batch here until a slot frees up —
@@ -208,9 +212,11 @@ void MachineScheduler::dispatcher_loop() {
   }
 }
 
-void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
-                                     Clock::time_point /*oldest*/,
-                                     Clock::time_point dispatch_time) {
+void MachineScheduler::execute_batch(std::vector<PendingQuery> batch) {
+  // A query's queue wait ends here, when an executor starts its batch —
+  // not at the hand-off, so time spent in the executor pool's pending
+  // slots behind a busy executor is counted too.
+  const auto start = Clock::now();
   std::vector<NodeRef> sources;
   sources.reserve(batch.size());
   for (const PendingQuery& q : batch) sources.push_back(q.source);
@@ -221,7 +227,7 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
     if (!q.trace.active()) continue;
     obs::Tracer::global().record_span("serve.queue_wait", q.trace.trace_id,
                                       obs::next_span_id(), q.trace.span_id,
-                                      q.enqueue_time, dispatch_time);
+                                      q.enqueue_time, start);
   }
   // The batch executes once for all members; its span lives in the first
   // traced member's trace (nested under that query's root span), and every
@@ -264,7 +270,7 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
       if (options_.collect_entries) r.ppr = states[i].ppr_entries();
       r.num_pushes = states[i].num_pushes();
       r.batch_size = batch.size();
-      r.queue_wait_us = micros_between(batch[i].enqueue_time, dispatch_time);
+      r.queue_wait_us = micros_between(batch[i].enqueue_time, start);
       r.execute_us = execute_us;
     }
   } catch (const std::exception& e) {
@@ -292,6 +298,7 @@ void MachineScheduler::finish_batch() {
     --inflight_batches_;
   }
   idle_cv_.notify_all();
+  work_cv_.notify_one();  // a freed executor takes the queue at once
 }
 
 }  // namespace ppr::serve

@@ -1,4 +1,4 @@
-// Per-machine admission queue + adaptive micro-batching scheduler.
+// Per-machine admission queue + work-conserving micro-batching scheduler.
 //
 // Each machine of the cluster gets one MachineScheduler (owner-compute
 // rule: a query runs on the machine owning its source). Lifecycle of a
@@ -12,12 +12,16 @@
 //   already holds `max_queue` queries, try_enqueue refuses and the caller
 //   resolves the future as REJECTED — the service never blocks a client
 //   on a saturated machine.
-// * The dispatcher implements the classic inference-serving tradeoff: a
-//   batch goes out when `max_batch_size` queries have accumulated OR
-//   `max_batch_delay_us` has elapsed since the OLDEST enqueued query,
-//   whichever comes first — small batches under light load (latency),
-//   full batches under heavy load (throughput, since run_ssppr_batch
-//   coalesces the batch's remote fetches per shard per round).
+// * The dispatcher is work-conserving: while an executor of the machine
+//   is idle, it gets up to `max_batch_size` queued queries at once. Only
+//   while every executor is busy does the dispatcher hold a partial
+//   batch open for co-riders, until `max_batch_size` queries have
+//   accumulated OR `max_batch_delay_us` has elapsed since the OLDEST
+//   enqueued query — and a batch that finishes wakes it, so the freed
+//   executor is refilled from the queue at once. Light load therefore
+//   gets batch-1 latency, saturation full batches (throughput, since
+//   run_ssppr_batch coalesces the batch's remote fetches per shard per
+//   round).
 // * Deadlines: every wake-up sweeps queued queries whose deadline passed
 //   and resolves them TIMED_OUT without executing them (their would-be
 //   states go unallocated, so an expired query costs nothing downstream).
@@ -78,8 +82,7 @@ class MachineScheduler {
   /// Resolve every queued query whose deadline has passed (caller holds
   /// `mutex_`); promises complete outside the lock via the returned list.
   void sweep_expired_locked(std::vector<PendingQuery>& expired);
-  void execute_batch(std::vector<PendingQuery> batch, Clock::time_point oldest,
-                     Clock::time_point dispatch_time);
+  void execute_batch(std::vector<PendingQuery> batch);
   void finish_batch();
 
   const DistGraphStorage& storage_;

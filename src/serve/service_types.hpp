@@ -43,7 +43,7 @@ struct QueryResult {
   std::size_t num_pushes = 0;
   /// Size of the micro-batch this query executed in (0 if never executed).
   std::size_t batch_size = 0;
-  double queue_wait_us = 0;  // admission to batch dispatch
+  double queue_wait_us = 0;  // admission to its batch's execution start
   double execute_us = 0;     // wall time of the serving run_ssppr_batch
   double e2e_us = 0;         // admission to future completion
 };
@@ -77,17 +77,22 @@ struct ServeOptions {
   /// Admission-queue bound per machine; a submit() beyond it is REJECTED
   /// immediately (explicit backpressure, never an unbounded block).
   std::size_t max_queue = 256;
-  /// Dispatch a batch once this many queries accumulated...
+  /// Most queries one batch takes. An idle executor gets up to this many
+  /// queued queries at once.
   std::size_t max_batch_size = 16;
-  /// ...or once this much time passed since the oldest enqueued query,
+  /// Cap on how long a partial batch is held open for co-riders, counted
+  /// from its oldest query. The dispatcher holds only while every executor
+  /// of the machine is busy; it dispatches once `max_batch_size` queries
+  /// accumulated, this much time passed, or an executor frees up,
   /// whichever comes first.
   double max_batch_delay_us = 2000;
   /// Default per-query deadline measured from submit(); 0 = none. A query
   /// whose deadline passes before its batch dispatches resolves TIMED_OUT
   /// without executing.
   double default_deadline_us = 0;
-  /// Batch-execution threads per machine (batch k+1 can form while batch
-  /// k executes when > 1).
+  /// Batch-execution threads per machine. While fewer than this many
+  /// batches are in flight, an executor is idle and queued queries
+  /// dispatch at once.
   int executors_per_machine = 1;
   /// Batches allowed to queue behind busy executors before the dispatcher
   /// holds off forming more (ThreadPool::try_submit bound).

@@ -8,12 +8,15 @@
 // tests report.
 //
 // Latency stages per query (all microseconds):
-//   queue_wait — submit() accept to batch dispatch;
+//   queue_wait — submit() accept to the start of the query's batch
+//                execution (includes any wait in the executor pool's
+//                pending slots behind a busy executor);
 //   execute    — wall time of the run_ssppr_batch call that served the
 //                query (shared by every query of the batch);
 //   e2e        — submit() accept to future completion.
 // Per batch: batch_form — dispatch minus the OLDEST member's enqueue time
-// (how long the scheduler held the batch open; bounded by max_batch_delay).
+// (how long the scheduler held the batch open; ~0 while an executor is
+// idle, bounded by max_batch_delay otherwise).
 #pragma once
 
 #include <cstdint>

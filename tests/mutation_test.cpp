@@ -86,29 +86,78 @@ class MutationFixture : public ::testing::Test {
 // ---------------------------------------------------------------------
 // Generator.
 
+// Every emitted delete names an edge that is live when its batch lands,
+// including in a high-churn stream (a 16-node grid with 64 ops per batch),
+// where a delete keeps drawing edges its own batch just inserted: the
+// store applies a batch's deletes before its inserts, so such a delete
+// must not be emitted.
 TEST_F(MutationFixture, MutationStreamDeterministicAndValid) {
-  const auto again = mutation_stream(graph_, 4, 30, 0.65, 42);
-  ASSERT_EQ(again.size(), batches_.size());
-  for (std::size_t b = 0; b < batches_.size(); ++b) {
-    ASSERT_EQ(again[b].size(), batches_[b].size());
-    for (std::size_t i = 0; i < batches_[b].size(); ++i) {
-      EXPECT_EQ(again[b][i].u, batches_[b][i].u);
-      EXPECT_EQ(again[b][i].v, batches_[b][i].v);
-      EXPECT_EQ(again[b][i].weight, batches_[b][i].weight);
-      EXPECT_EQ(again[b][i].insert, batches_[b][i].insert);
-    }
-  }
-  for (const auto& batch : batches_) {
-    for (const EdgeMutationOp& op : batch) {
-      EXPECT_NE(op.u, op.v);
-      EXPECT_GE(op.u, 0);
-      EXPECT_LT(op.u, graph_.num_nodes());
-      EXPECT_GE(op.v, 0);
-      EXPECT_LT(op.v, graph_.num_nodes());
-      if (op.insert) {
-        EXPECT_GT(op.weight, 0.0f);
+  struct Input {
+    Graph graph;
+    int batches, ops;
+    double insert_fraction;
+    std::uint64_t seed;
+  };
+  const std::vector<Input> inputs = {
+      {graph_, 4, 30, 0.65, 42},
+      {generate_grid(4, 4), 40, 64, 0.5, 3},
+  };
+  for (const Input& in : inputs) {
+    const Graph& g = in.graph;
+    SCOPED_TRACE(::testing::Message() << g.num_nodes() << " nodes, "
+                                      << in.ops << " ops per batch");
+    const auto stream = mutation_stream(g, in.batches, in.ops,
+                                        in.insert_fraction, in.seed);
+    const auto again = mutation_stream(g, in.batches, in.ops,
+                                       in.insert_fraction, in.seed);
+    ASSERT_EQ(stream.size(), static_cast<std::size_t>(in.batches));
+    ASSERT_EQ(again.size(), stream.size());
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+      ASSERT_EQ(again[b].size(), stream[b].size());
+      EXPECT_LE(stream[b].size(), static_cast<std::size_t>(in.ops));
+      for (std::size_t i = 0; i < stream[b].size(); ++i) {
+        EXPECT_EQ(again[b][i].u, stream[b][i].u);
+        EXPECT_EQ(again[b][i].v, stream[b][i].v);
+        EXPECT_EQ(again[b][i].weight, stream[b][i].weight);
+        EXPECT_EQ(again[b][i].insert, stream[b][i].insert);
       }
     }
+    for (const auto& batch : stream) {
+      std::vector<std::pair<NodeId, NodeId>> inserted;
+      for (const EdgeMutationOp& op : batch) {
+        EXPECT_NE(op.u, op.v);
+        EXPECT_GE(op.u, 0);
+        EXPECT_LT(op.u, g.num_nodes());
+        EXPECT_GE(op.v, 0);
+        EXPECT_LT(op.v, g.num_nodes());
+        const std::pair<NodeId, NodeId> key = std::minmax(op.u, op.v);
+        if (op.insert) {
+          EXPECT_GT(op.weight, 0.0f);
+          inserted.push_back(key);
+        } else {
+          EXPECT_EQ(std::count(inserted.begin(), inserted.end(), key), 0)
+              << "a batch deletes the edge " << key.first << "-"
+              << key.second << " it inserted itself";
+        }
+      }
+    }
+
+    // Replaying the stream and reading every row at the final version
+    // finds the edge of every delete.
+    ClusterOptions opts;
+    opts.num_machines = 2;
+    opts.network = no_network_cost();
+    Cluster cluster(g, partition_hash(g, 2), opts);
+    EXPECT_NO_THROW({
+      for (const auto& batch : stream) cluster.apply_edge_mutations(batch);
+      for (ShardId s = 0; s < 2; ++s) {
+        const auto snap = cluster.store(s)->snapshot(cluster.graph_version());
+        for (NodeId local = 0; local < snap->num_core_nodes(); ++local) {
+          snap->vertex_prop(local);
+        }
+      }
+    });
+    EXPECT_EQ(cluster.graph_version(), stream.size());
   }
 }
 

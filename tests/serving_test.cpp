@@ -23,6 +23,7 @@ using serve::QueryStatus;
 using serve::ServeOptions;
 
 constexpr double kAlpha = 0.462;
+using Clock = std::chrono::steady_clock;
 
 using Entries = std::vector<std::pair<NodeRef, double>>;
 
@@ -48,6 +49,28 @@ class ServingFixture : public ::testing::Test {
     o.ppr = SspprOptions{.alpha = kAlpha, .epsilon = 1e-6};
     return o;
   }
+
+  /// The fixture's graph and partition behind a slow network: every
+  /// cross-machine message takes kSlowMessageUs, so a batch that fetches
+  /// remotely runs for tens of ms — far longer than submitting a few
+  /// queries takes.
+  std::unique_ptr<Cluster> slow_cluster() const {
+    return std::make_unique<Cluster>(
+        graph_, assignment_,
+        ClusterOptions{.num_machines = 4,
+                       .network = NetworkModel{kSlowMessageUs, 0.0}});
+  }
+
+  /// Wait (bounded) until the service has dispatched `n` batches.
+  static void wait_for_batches(const QueryService& service, std::uint64_t n) {
+    const auto give_up = Clock::now() + std::chrono::seconds(2);
+    while (service.stats().batches < n && Clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    EXPECT_GE(service.stats().batches, n) << "batch not dispatched in 2 s";
+  }
+
+  static constexpr double kSlowMessageUs = 1000;
 
   Graph graph_;
   PartitionAssignment assignment_;
@@ -157,8 +180,9 @@ TEST_F(ServingFixture, ExpiredDeadlineTimesOutAndRecyclesState) {
   EXPECT_GE(stats.states_created, 1u);
 }
 
-// (d) Adaptive batching: with no further arrivals, a partial batch goes
-// out after max_batch_delay instead of waiting for max_batch_size.
+// (d) A partial batch never waits for max_batch_size: with no further
+// arrivals it goes out at once to an idle executor, or after
+// max_batch_delay (or when the executor frees up) while it is busy.
 TEST_F(ServingFixture, PartialBatchDispatchesAfterDelay) {
   ServeOptions o = base_options();
   o.max_batch_size = 64;           // never reached
@@ -182,6 +206,91 @@ TEST_F(ServingFixture, PartialBatchDispatchesAfterDelay) {
   EXPECT_GE(stats.batches, 1u);
   EXPECT_LE(stats.batches, 3u);
   EXPECT_GT(stats.batch_form_us.count, 0u);
+}
+
+// (e) Work-conserving dispatch: a query reaching an idle machine runs at
+// once and alone — the batch-delay hold applies only while every
+// executor is busy.
+TEST_F(ServingFixture, IdleExecutorTakesQueryAtOnce) {
+  ServeOptions o = base_options();
+  o.max_batch_size = 64;        // never reached
+  o.max_batch_delay_us = 5e6;   // a 5 s hold, were the executor busy
+  QueryService service(*cluster_, o);
+
+  const QueryResult r =
+      service.submit(NodeRef{0, static_cast<ShardId>(1)}).wait();
+  ASSERT_EQ(r.status, QueryStatus::kOk);
+  EXPECT_EQ(r.batch_size, 1u);
+  EXPECT_LT(r.queue_wait_us, 0.1 * o.max_batch_delay_us)
+      << "an idle executor must not wait out the hold";
+}
+
+// (f) While the only executor is busy, arrivals are held as co-riders,
+// and the moment it frees up it takes all of them as one batch: q1 runs
+// alone, q2-q5 (submitted while q1 executes) run together.
+TEST_F(ServingFixture, FreedExecutorTakesWholeQueue) {
+  const auto slow = slow_cluster();
+  ServeOptions o = base_options();
+  o.max_batch_size = 64;        // never reached
+  o.max_batch_delay_us = 5e6;   // outlasts q1's execution by far
+  o.executors_per_machine = 1;
+  QueryService service(*slow, o);
+
+  const auto shard = static_cast<ShardId>(0);
+  QueryFuture q1 = service.submit(NodeRef{0, shard});
+  wait_for_batches(service, 1);
+  std::vector<QueryFuture> rest;
+  for (NodeId i = 1; i <= 4; ++i) {
+    rest.push_back(service.submit(NodeRef{i, shard}));
+  }
+  const QueryResult r1 = q1.wait();
+  ASSERT_EQ(r1.status, QueryStatus::kOk);
+  EXPECT_EQ(r1.batch_size, 1u);
+  for (auto& f : rest) {
+    const QueryResult r = f.wait();
+    ASSERT_EQ(r.status, QueryStatus::kOk);
+    EXPECT_EQ(r.batch_size, 4u);
+  }
+  EXPECT_EQ(service.stats().batches, 2u);
+}
+
+// (g) A query's queue wait runs until its batch starts executing. With
+// no hold (max_batch_delay_us = 0), q2 is handed to the executor pool at
+// once but waits in its pending slot while q1 executes; that wait counts
+// as queue wait, so the three stages never overlap and never leave
+// time unaccounted before execution.
+TEST_F(ServingFixture, QueueWaitEndsWhenExecutionStarts) {
+  const auto slow = slow_cluster();
+  ServeOptions o = base_options();
+  o.max_batch_delay_us = 0;
+  o.executors_per_machine = 1;
+  QueryService service(*slow, o);
+
+  const auto shard = static_cast<ShardId>(0);
+  const auto t1 = Clock::now();
+  QueryFuture f1 = service.submit(NodeRef{0, shard});
+  wait_for_batches(service, 1);
+  QueryFuture f2 = service.submit(NodeRef{1, shard});
+  const auto t2 = Clock::now();
+  const QueryResult r1 = f1.wait();
+  const QueryResult r2 = f2.wait();
+  ASSERT_EQ(r1.status, QueryStatus::kOk);
+  ASSERT_EQ(r2.status, QueryStatus::kOk);
+  EXPECT_EQ(r1.batch_size, 1u);
+  EXPECT_EQ(r2.batch_size, 1u);
+  EXPECT_EQ(service.stats().batches, 2u);
+
+  // q2 was admitted before t2 and could not start before q1 completed,
+  // at or after t1 + q1's e2e: its wait covers the rest of q1's run.
+  const double q1_left_us =
+      r1.e2e_us -
+      std::chrono::duration<double, std::micro>(t2 - t1).count();
+  EXPECT_GT(r1.execute_us, 10'000.0) << "q1 must run for tens of ms";
+  EXPECT_GE(r2.queue_wait_us + 1.0, q1_left_us)
+      << "q2's wait behind the busy executor is queue wait";
+  for (const QueryResult& r : {r1, r2}) {
+    EXPECT_LE(r.queue_wait_us + r.execute_us, r.e2e_us);
+  }
 }
 
 // Steady-state serving performs zero per-query SspprState allocations:

@@ -56,6 +56,15 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       echo "=== ${SANITIZER}: mutation_test concurrent mutate+query ==="
       "${BUILD}/tests/mutation_test" \
           --gtest_filter='*ConcurrentMutateAndQuery*' --gtest_brief=1
+      # Work-conserving dispatch: the dispatcher's hold ends on a wake-up
+      # that executor threads send when a batch finishes, and queue wait
+      # ends on the executor thread. These cases are the timing-sensitive
+      # ones that TSan slows most, so repeat them alone — a flaky test is
+      # a bug.
+      echo "=== ${SANITIZER}: serving_test dispatch + queue-wait cases x20 ==="
+      "${BUILD}/tests/serving_test" \
+          --gtest_filter='*ExecutorTakes*:*QueueWaitEndsWhenExecutionStarts*' \
+          --gtest_repeat=20 --gtest_brief=1
       ;;
     *address*|*undefined*)
       # Wire-codec fuzz-style tests again with the tensor-marshal cost
