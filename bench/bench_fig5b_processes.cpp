@@ -5,7 +5,7 @@
 //
 // Two modes:
 //   default           the in-process simulated cluster (threads as
-//                     computing processes, socketpair/queue transport);
+//                     computing processes, in-process transport);
 //   --real-processes  fork 2 real graph_engine_node processes per point
 //                     (localhost TCP mesh, --executors=procs) and drive
 //                     them through a mesh-member ClusterClient. Same

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "ppr/bfs.hpp"
 #include "ppr/random_walk.hpp"
-#include "rpc/buffer_pool.hpp"
 
 namespace ppr::cluster {
 
@@ -23,7 +22,6 @@ ClusterNode::ClusterNode(ClusterConfig config, int node_id,
   // Every node derives the identical graph + partition from the config;
   // the handshake fingerprint (below) is the cross-check.
   const Graph g = load_cluster_graph(config_);
-  num_nodes_ = g.num_nodes();
   const PartitionAssignment assignment = load_cluster_partition(config_, g);
   const int shards = config_.num_storage_nodes();
   sharded_ = build_sharded_graph(g, assignment, shards,
@@ -41,11 +39,16 @@ ClusterNode::ClusterNode(ClusterConfig config, int node_id,
                                               net);
   transport_->connect_mesh();
 
-  endpoint_ = std::make_unique<RpcEndpoint>(transport_, node_id_,
-                                            config_.server_threads);
-  routing_ = std::make_shared<RoutingTable>(shard_map);
-  storage_service_ =
-      std::make_unique<GraphStorageService>(*endpoint_, routing_);
+  // This node's view of the graph-version plane: the coordinator's
+  // tracker advances when it publishes a batch; every other node's
+  // advances on the version announcement.
+  machine_ = std::make_unique<Machine>(
+      transport_, node_id_, shard_map,
+      std::make_shared<VersionTracker>(shards), sharded_.mapping,
+      MachineConfig{config_.server_threads, config_.adjacency_cache_rows,
+                    RetryPolicy{config_.rpc_timeout_s,
+                                config_.rpc_max_attempts,
+                                config_.rpc_backoff_ms}});
 
   serve_options_.ppr.alpha = config_.ppr_alpha;
   serve_options_.ppr.epsilon = config_.ppr_epsilon;
@@ -56,7 +59,7 @@ ClusterNode::ClusterNode(ClusterConfig config, int node_id,
   // deadlock note in node.hpp).
   query_pool_ = std::make_unique<ThreadPool>(
       static_cast<std::size_t>(config_.query_threads));
-  endpoint_->register_service(
+  machine_->endpoint().register_service(
       kQueryServiceName,
       [this](const std::string& method,
              std::span<const std::uint8_t> payload) {
@@ -64,23 +67,14 @@ ClusterNode::ClusterNode(ClusterConfig config, int node_id,
       },
       query_pool_.get());
 
-  tracker_ = std::make_shared<VersionTracker>(shards);
-  install_unit(node_id_,
-               std::make_shared<VersionedShardStore>(
-                   sharded_.shards[static_cast<std::size_t>(node_id_)]));
+  add_unit(node_id_, machine_->install(std::make_shared<VersionedShardStore>(
+                         sharded_.shards[static_cast<std::size_t>(node_id_)])));
   // A real deployment only materializes its own shard; everything this
   // node adopts later arrives over the wire (snapshot_shard), never from
   // these locally derived copies.
   for (int s = 0; s < shards; ++s) {
     if (s != node_id_) sharded_.shards[static_cast<std::size_t>(s)].reset();
   }
-
-  // Failover: a dead peer's shards re-route to their replicas before the
-  // endpoint fails that peer's pending calls, so a retry woken by the
-  // failure already resolves against the promoted map. The derivation is
-  // pure, so every surviving member converges without coordination.
-  endpoint_->add_peer_down_hook(
-      [this](int peer) { routing_->handle_node_failure(peer); });
 
   // Readiness barrier LAST: every service this node offers is registered
   // above, so once any peer passes the barrier it may fire requests at us
@@ -147,8 +141,7 @@ void ClusterNode::shutdown() {
     std::lock_guard<std::mutex> lock(units_mutex_);
     units_.clear();
   }
-  endpoint_.reset();
-  storage_service_.reset();
+  machine_.reset();
   if (transport_ != nullptr) transport_->stop();
 }
 
@@ -165,22 +158,10 @@ serve::ServiceStatsSnapshot ClusterNode::serve_stats() const {
   return stats_.snapshot(states);
 }
 
-void ClusterNode::install_unit(ShardId shard,
-                               std::shared_ptr<VersionedShardStore> store) {
-  storage_service_->install_store(store);
+void ClusterNode::add_unit(ShardId shard,
+                           std::shared_ptr<DistGraphStorage> storage) {
   auto unit = std::make_shared<ServingUnit>();
-  std::vector<RemoteRef> rrefs;
-  rrefs.reserve(static_cast<std::size_t>(config_.num_nodes()));
-  for (int peer = 0; peer < config_.num_nodes(); ++peer) {
-    rrefs.emplace_back(endpoint_.get(), peer, kStorageServiceName);
-  }
-  unit->storage = std::make_unique<DistGraphStorage>(
-      *endpoint_, std::move(rrefs), std::move(store), tracker_, routing_);
-  unit->storage->set_retry_policy(RetryPolicy{
-      config_.rpc_timeout_s, config_.rpc_max_attempts, config_.rpc_backoff_ms});
-  if (config_.adjacency_cache_rows > 0) {
-    unit->storage->enable_adjacency_cache(config_.adjacency_cache_rows);
-  }
+  unit->storage = std::move(storage);
   unit->scheduler = std::make_unique<serve::MachineScheduler>(
       *unit->storage, serve_options_, stats_);
   std::lock_guard<std::mutex> lock(units_mutex_);
@@ -207,24 +188,9 @@ void ClusterNode::adopt_shard(ShardId shard, int src) {
     std::lock_guard<std::mutex> lock(units_mutex_);
     if (units_.count(shard) != 0) return;
   }
-  GE_REQUIRE(src != node_id_, "cannot adopt a shard from myself");
-  ByteWriter req(BufferPool::global().acquire());
-  write_storage_header(req, shard, routing_->epoch(), tracker_->published());
-  std::vector<std::uint8_t> payload = endpoint_->sync_call(
-      src, kStorageServiceName, storage_method::kSnapshotShard, req.take());
-  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
-             "snapshot source no longer serves shard " +
-                 std::to_string(shard));
-  obs::MetricRegistry::global()
-      .counter("migration.bytes_copied")
-      .add(payload.size() - 1);
-  ByteReader r(std::span<const std::uint8_t>(payload).subspan(1));
-  auto copy = VersionedShardStore::deserialize(r);
-  BufferPool::global().release(std::move(payload));
-  GE_REQUIRE(copy->shard_id() == shard, "snapshot names the wrong shard");
+  add_unit(shard, machine_->adopt(shard, src));
   GE_LOG(kInfo) << "node " << node_id_ << " adopted shard " << shard
                 << " from node " << src;
-  install_unit(shard, std::move(copy));
 }
 
 void ClusterNode::drop_shard(ShardId shard) {
@@ -241,18 +207,23 @@ void ClusterNode::drop_shard(ShardId shard) {
   // post-publish routing table), then the storage plane (in-flight fetch
   // RPCs on this shard complete; new ones get the stale-route redirect).
   unit->scheduler->drain();
-  storage_service_->remove_shard(shard);
+  machine_->drop(shard);
   GE_LOG(kInfo) << "node " << node_id_ << " dropped shard " << shard;
 }
 
+std::vector<std::uint8_t> ClusterNode::call_node(
+    int node, const char* method, std::vector<std::uint8_t> payload) {
+  return machine_->endpoint().sync_call(node, kQueryServiceName, method,
+                                        std::move(payload));
+}
+
 void ClusterNode::broadcast_route(const ShardMap& next) {
-  routing_->apply(ShardMap(next));
+  machine_->routing().apply(ShardMap(next));
   const std::vector<std::uint8_t> payload = encode_shard_map_payload(next);
   for (int peer = 0; peer < config_.num_nodes(); ++peer) {
     if (peer == node_id_ || transport_->peer_departed(peer)) continue;
     try {
-      endpoint_->sync_call(peer, kQueryServiceName, kMethodRouteUpdate,
-                           std::vector<std::uint8_t>(payload));
+      call_node(peer, kMethodRouteUpdate, std::vector<std::uint8_t>(payload));
     } catch (const std::exception& e) {
       // A peer that misses the push recovers via stale-route/wrong-owner.
       GE_LOG(kWarn) << "route update to node " << peer
@@ -268,7 +239,7 @@ std::vector<std::uint8_t> ClusterNode::handle_migrate(
   GE_REQUIRE(req.shard >= 0 && req.shard < shards, "shard id out of range");
   GE_REQUIRE(req.node >= 0 && req.node < shards,
              "migration target must be a storage node");
-  const auto snap = routing_->current();
+  const auto snap = machine_->routing().current();
   const int src = snap->node_of(req.shard);
   if (src == req.node) return encode_shard_map_payload(*snap);
 
@@ -277,8 +248,8 @@ std::vector<std::uint8_t> ClusterNode::handle_migrate(
   if (req.node == node_id_) {
     adopt_shard(req.shard, src);
   } else {
-    endpoint_->sync_call(req.node, kQueryServiceName, kMethodAdoptShard,
-                         encode_shard_admin({req.shard, src}));
+    call_node(req.node, kMethodAdoptShard,
+              encode_shard_admin({req.shard, src}));
   }
   // Publish: flip the epoch on every mesh member.
   const ShardMap next = snap->with_placement(req.shard, req.node);
@@ -287,8 +258,7 @@ std::vector<std::uint8_t> ClusterNode::handle_migrate(
   if (src == node_id_) {
     drop_shard(req.shard);
   } else {
-    endpoint_->sync_call(src, kQueryServiceName, kMethodDropShard,
-                         encode_shard_admin({req.shard, -1}));
+    call_node(src, kMethodDropShard, encode_shard_admin({req.shard, -1}));
   }
   return encode_shard_map_payload(next);
 }
@@ -300,7 +270,7 @@ std::vector<std::uint8_t> ClusterNode::handle_add_replica(
   GE_REQUIRE(req.shard >= 0 && req.shard < shards, "shard id out of range");
   GE_REQUIRE(req.node >= 0 && req.node < shards,
              "replica host must be a storage node");
-  const auto snap = routing_->current();
+  const auto snap = machine_->routing().current();
   if (snap->serves(req.shard, req.node)) {
     return encode_shard_map_payload(*snap);  // idempotent
   }
@@ -308,8 +278,8 @@ std::vector<std::uint8_t> ClusterNode::handle_add_replica(
   if (req.node == node_id_) {
     adopt_shard(req.shard, src);
   } else {
-    endpoint_->sync_call(req.node, kQueryServiceName, kMethodAdoptShard,
-                         encode_shard_admin({req.shard, src}));
+    call_node(req.node, kMethodAdoptShard,
+              encode_shard_admin({req.shard, src}));
   }
   const ShardMap next = snap->with_replica(req.shard, req.node);
   broadcast_route(next);
@@ -319,116 +289,19 @@ std::vector<std::uint8_t> ClusterNode::handle_add_replica(
 std::vector<std::uint8_t> ClusterNode::handle_mutate(
     const MutateRequest& req) {
   std::lock_guard<std::mutex> lock(mutation_mu_);
-  const std::uint64_t version = tracker_->published() + 1;
-  const auto map = routing_->current();
-  const auto ns = static_cast<std::size_t>(map->num_shards());
-  const GlobalMapping& mapping = sharded_.mapping;
-
-  // Translate: each undirected op lands in BOTH endpoints' shards (the
-  // same scheme as the in-process Cluster — engine/cluster.cpp).
-  std::vector<MutationBatch> batches(ns);
-  std::vector<std::vector<NodeId>> hint_locals(ns);
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> hint_slots(
-      ns);
-  const auto add_insert = [&](NodeId src, NodeId nbr, float weight) {
-    const NodeRef s = mapping.to_ref(src);
-    const NodeRef n = mapping.to_ref(nbr);
-    auto& batch = batches[static_cast<std::size_t>(s.shard)];
-    batch.inserts.push_back(EdgeInsert{s.local, n.local, n.shard, nbr,
-                                       weight, /*nbr_weighted_deg=*/0});
-    hint_locals[static_cast<std::size_t>(n.shard)].push_back(n.local);
-    hint_slots[static_cast<std::size_t>(n.shard)].push_back(
-        {static_cast<std::size_t>(s.shard), batch.inserts.size() - 1});
-  };
-  for (const EdgeMutationOp& op : req.ops) {
-    GE_REQUIRE(op.u != op.v, "self-loop mutations are not supported");
-    GE_REQUIRE(op.u >= 0 && op.u < num_nodes_ && op.v >= 0 &&
-                   op.v < num_nodes_,
-               "mutation endpoint out of range");
-    if (op.insert) {
-      GE_REQUIRE(op.weight > 0, "insert weight must be positive");
-      add_insert(op.u, op.v, op.weight);
-      add_insert(op.v, op.u, op.weight);
-    } else {
-      const NodeRef u = mapping.to_ref(op.u);
-      const NodeRef v = mapping.to_ref(op.v);
-      batches[static_cast<std::size_t>(u.shard)].deletes.push_back(
-          EdgeDelete{u.local, op.v});
-      batches[static_cast<std::size_t>(v.shard)].deletes.push_back(
-          EdgeDelete{v.local, op.u});
-    }
-  }
-
-  // Any serving unit's storage client can carry the coordinator's RPCs;
-  // self legs never go over the wire (the transport has no self link).
-  std::shared_ptr<ServingUnit> coord;
-  {
-    std::lock_guard<std::mutex> units(units_mutex_);
-    for (auto& [s, unit] : units_) {
-      if (!unit->retiring.load(std::memory_order_acquire)) {
-        coord = unit;
-        break;
-      }
-    }
-  }
-  GE_REQUIRE(coord != nullptr, "mutation coordinator serves no shard");
-
-  // Hints: weighted degrees at the version PRECEDING this batch.
-  for (std::size_t s = 0; s < ns; ++s) {
-    if (hint_locals[s].empty()) continue;
-    const auto shard = static_cast<ShardId>(s);
-    std::vector<float> degs;
-    if (const auto store = storage_service_->store_ptr(shard)) {
-      const auto snap = store->snapshot(version - 1);
-      degs.reserve(hint_locals[s].size());
-      for (const NodeId local : hint_locals[s]) {
-        degs.push_back(snap->weighted_degree(local));
-      }
-    } else {
-      degs = coord->storage->get_weighted_degrees(shard, hint_locals[s],
-                                                  version - 1);
-    }
-    for (std::size_t i = 0; i < degs.size(); ++i) {
-      const auto [dst_shard, idx] = hint_slots[s][i];
-      batches[dst_shard].inserts[idx].nbr_weighted_deg = degs[i];
-    }
-  }
-
-  // Ship owner first, then replicas, each acked before the next — every
-  // copy sees versions in the same strictly ascending order.
-  std::vector<ShardId> mutated;
-  const auto land = [&](int node, ShardId shard) {
-    if (node == node_id_) {
-      const auto store = storage_service_->store_ptr(shard);
-      GE_REQUIRE(store != nullptr, "routing names a shard we dropped");
-      store->apply(version,
-                   MutationBatch(batches[static_cast<std::size_t>(shard)]));
-    } else {
-      coord->storage->apply_mutations_remote(
-          node, shard, version, batches[static_cast<std::size_t>(shard)]);
-    }
-  };
-  for (std::size_t s = 0; s < ns; ++s) {
-    if (batches[s].empty()) continue;
-    const auto shard = static_cast<ShardId>(s);
-    land(map->node_of(shard), shard);
-    for (const std::int32_t rep : map->replicas(shard)) land(rep, shard);
-    tracker_->note_shard_mutation(shard, version);
-    mutated.push_back(shard);
-  }
-  tracker_->publish(version);
+  MutationOutcome outcome = machine_->apply_mutations(req.ops);
 
   // Announce to every storage peer BEFORE replying, so a client's
   // follow-up query to any node already pins the new version.
   VersionAnnounce ann;
-  ann.version = version;
-  ann.shards = std::move(mutated);
+  ann.version = outcome.version;
+  ann.shards = std::move(outcome.mutated);
   const std::vector<std::uint8_t> payload = encode_version_announce(ann);
   for (int peer = 0; peer < config_.num_storage_nodes(); ++peer) {
     if (peer == node_id_ || transport_->peer_departed(peer)) continue;
     try {
-      endpoint_->sync_call(peer, kQueryServiceName, kMethodVersionAnnounce,
-                           std::vector<std::uint8_t>(payload));
+      call_node(peer, kMethodVersionAnnounce,
+                std::vector<std::uint8_t>(payload));
     } catch (const std::exception& e) {
       // A peer that misses the announce still serves coherent (older)
       // snapshots; it catches up on the next announce.
@@ -437,7 +310,7 @@ std::vector<std::uint8_t> ClusterNode::handle_mutate(
     }
   }
   MutateReply reply;
-  reply.version = version;
+  reply.version = ann.version;
   return encode_mutate_reply(reply);
 }
 
@@ -446,25 +319,20 @@ std::vector<std::uint8_t> ClusterNode::handle_compact(
   const int shards = config_.num_storage_nodes();
   GE_REQUIRE(req.shard >= 0 && req.shard < shards, "shard id out of range");
   if (req.node == node_id_) {  // local leg of the fan-out below
-    const auto store = storage_service_->store_ptr(req.shard);
-    GE_REQUIRE(store != nullptr, "compact target does not serve the shard");
-    store->compact();
+    machine_->compact(req.shard);
     return {};
   }
   // Coordinator: compact every serving copy (owner + replicas).
-  const auto snap = routing_->current();
+  const auto snap = machine_->routing().current();
   std::vector<int> serving{snap->node_of(req.shard)};
   for (const std::int32_t rep : snap->replicas(req.shard)) {
     serving.push_back(rep);
   }
   for (const int n : serving) {
     if (n == node_id_) {
-      const auto store = storage_service_->store_ptr(req.shard);
-      GE_REQUIRE(store != nullptr, "routing names a shard we dropped");
-      store->compact();
+      machine_->compact(req.shard);
     } else {
-      endpoint_->sync_call(n, kQueryServiceName, kMethodCompactShard,
-                           encode_shard_admin({req.shard, n}));
+      call_node(n, kMethodCompactShard, encode_shard_admin({req.shard, n}));
     }
   }
   return {};
@@ -473,10 +341,11 @@ std::vector<std::uint8_t> ClusterNode::handle_compact(
 void ClusterNode::handle_version_announce(const VersionAnnounce& a) {
   // Shard marks BEFORE the publish — the tracker's required order (a
   // reader resolving at the new version must see the invalidation marks).
+  VersionTracker& tracker = machine_->tracker();
   for (const ShardId shard : a.shards) {
-    tracker_->note_shard_mutation(shard, a.version);
+    tracker.note_shard_mutation(shard, a.version);
   }
-  tracker_->publish(a.version);
+  tracker.publish(a.version);
 }
 
 void ClusterNode::rebalancer_loop() {
@@ -495,12 +364,11 @@ void ClusterNode::rebalancer_loop() {
       }
     }
     std::vector<std::pair<ShardId, std::uint64_t>> counts =
-        storage_service_->served_counts();
+        machine_->service().served_counts();
     for (int peer = 0; peer < shards; ++peer) {
       if (peer == node_id_ || transport_->peer_departed(peer)) continue;
       try {
-        const auto reply = endpoint_->sync_call(
-            peer, kQueryServiceName, kMethodShardLoad, {});
+        const auto reply = call_node(peer, kMethodShardLoad, {});
         const auto peer_counts = decode_shard_load_reply(reply);
         counts.insert(counts.end(), peer_counts.begin(), peer_counts.end());
       } catch (const std::exception&) {
@@ -519,7 +387,7 @@ void ClusterNode::rebalancer_loop() {
     }
     last = std::move(now);
 
-    const auto snap = routing_->current();
+    const auto snap = machine_->routing().current();
     const auto actions = propose_rebalance(
         delta, *snap, shards, config_.rebalance_hot_factor,
         config_.rebalance_max_replicas);
@@ -543,11 +411,11 @@ std::vector<std::uint8_t> ClusterNode::handle_query(
   if (method == kMethodPing) return encode_ping_reply(node_id_);
   if (method == kMethodMetrics) return encode_text_reply(metrics_json());
   if (method == kMethodRouteUpdate) {
-    routing_->apply(decode_shard_map_payload(payload));
+    machine_->routing().apply(decode_shard_map_payload(payload));
     return {};
   }
   if (method == kMethodGetRoute) {
-    return encode_shard_map_payload(*routing_->current());
+    return encode_shard_map_payload(*machine_->routing().current());
   }
   if (method == kMethodMigrateShard) {
     return handle_migrate(decode_shard_admin(payload));
@@ -565,7 +433,7 @@ std::vector<std::uint8_t> ClusterNode::handle_query(
     return {};
   }
   if (method == kMethodShardLoad) {
-    return encode_shard_load_reply(storage_service_->served_counts());
+    return encode_shard_load_reply(machine_->service().served_counts());
   }
   if (method == kMethodMutateEdges) {
     return handle_mutate(decode_mutate_request(payload));
@@ -578,7 +446,7 @@ std::vector<std::uint8_t> ClusterNode::handle_query(
     return {};
   }
   if (method == kMethodGraphVersion) {
-    return encode_version_reply(tracker_->published());
+    return encode_version_reply(machine_->tracker().published());
   }
   if (method == kMethodShutdown) {
     request_shutdown();
@@ -590,7 +458,7 @@ std::vector<std::uint8_t> ClusterNode::handle_query(
 std::vector<std::uint8_t> ClusterNode::run_ssppr(
     std::span<const std::uint8_t> payload) {
   const SspprRequest req = decode_ssppr_request(payload);
-  GE_REQUIRE(req.source >= 0 && req.source < num_nodes_,
+  GE_REQUIRE(req.source >= 0 && req.source < sharded_.mapping.num_nodes(),
              "source node id out of range");
   const NodeRef ref = sharded_.mapping.to_ref(req.source);
   const auto unit = unit_for(ref.shard);
@@ -626,7 +494,7 @@ std::vector<std::uint8_t> ClusterNode::run_ssppr(
 std::vector<std::uint8_t> ClusterNode::run_bfs(
     std::span<const std::uint8_t> payload) {
   const BfsRequest req = decode_bfs_request(payload);
-  GE_REQUIRE(req.source >= 0 && req.source < num_nodes_,
+  GE_REQUIRE(req.source >= 0 && req.source < sharded_.mapping.num_nodes(),
              "source node id out of range");
   const NodeRef ref = sharded_.mapping.to_ref(req.source);
   const auto unit = unit_for(ref.shard);
@@ -649,7 +517,7 @@ std::vector<std::uint8_t> ClusterNode::run_bfs(
 std::vector<std::uint8_t> ClusterNode::run_walk(
     std::span<const std::uint8_t> payload) {
   const WalkRequest req = decode_walk_request(payload);
-  GE_REQUIRE(req.source >= 0 && req.source < num_nodes_,
+  GE_REQUIRE(req.source >= 0 && req.source < sharded_.mapping.num_nodes(),
              "source node id out of range");
   const NodeRef ref = sharded_.mapping.to_ref(req.source);
   const auto unit = unit_for(ref.shard);

@@ -4,9 +4,11 @@
 //   load graph + partition (deterministic from the shared config)
 //   → build this node's shard
 //   → TcpTransport: listen, connect the mesh, handshake, readiness barrier
-//   → RpcEndpoint + RoutingTable + GraphStorageService (storage RPCs)
-//   → one ServingUnit (DistGraphStorage + MachineScheduler) per shard
-//     this node serves — initially just its own
+//   → one Machine (storage/machine.hpp — the same definition each
+//     in-process Cluster machine is): RpcEndpoint + RoutingTable +
+//     GraphStorageService + a storage client per served shard
+//   → one ServingUnit (that client + a MachineScheduler) per shard this
+//     node serves — initially just its own
 //   → query/admin service on a DEDICATED dispatch pool.
 //
 // The dedicated query pool is load-bearing: query handlers block on
@@ -46,9 +48,7 @@
 #include "serve/scheduler.hpp"
 #include "serve/service_types.hpp"
 #include "serve/stats.hpp"
-#include "storage/dist_storage.hpp"
-#include "storage/storage_service.hpp"
-#include "storage/versioned_shard.hpp"
+#include "storage/machine.hpp"
 
 namespace ppr::cluster {
 
@@ -72,7 +72,7 @@ class ClusterNode {
 
   /// Snapshot of this node's live routing table.
   std::shared_ptr<const ShardMap> shard_map() const {
-    return routing_->current();
+    return machine_->routing().current();
   }
 
   /// Async shutdown signal — safe to call from a signal-handler-driven
@@ -95,8 +95,8 @@ class ClusterNode {
   serve::ServiceStatsSnapshot serve_stats() const;
 
  private:
-  /// Everything needed to serve queries for ONE shard: a storage client
-  /// whose shard_id is that shard (the SSPPR push order depends only on
+  /// Everything needed to serve queries for ONE shard: the machine's
+  /// storage client for that shard (the SSPPR push order depends only on
   /// shard_id, which is what keeps answers bit-identical across
   /// placements) and a scheduler running the owner-compute batches.
   /// Replica units keep an idle scheduler so a failover promotion starts
@@ -105,7 +105,7 @@ class ClusterNode {
     // Declaration order is load-bearing: the scheduler references the
     // storage, so it must be destroyed first (members destruct in
     // reverse order).
-    std::unique_ptr<DistGraphStorage> storage;
+    std::shared_ptr<DistGraphStorage> storage;
     std::unique_ptr<serve::MachineScheduler> scheduler;
     std::atomic<bool> retiring{false};
   };
@@ -121,30 +121,33 @@ class ClusterNode {
   std::vector<std::uint8_t> handle_migrate(const ShardAdminRequest& req);
   std::vector<std::uint8_t> handle_add_replica(const ShardAdminRequest& req);
 
-  /// Mutation coordinator (DESIGN.md §15): translate global-id ops to
-  /// per-shard delta batches, fetch weighted-degree hints at the current
-  /// version, land the batches on every serving copy (owner first, then
-  /// replicas), publish locally, announce to every storage peer, reply
-  /// with the published version.
+  /// Mutation coordinator (DESIGN.md §15): Machine::apply_mutations
+  /// lands and publishes the batch, then the version is announced to
+  /// every storage peer before the reply carries it back.
   std::vector<std::uint8_t> handle_mutate(const MutateRequest& req);
   /// `req.node == -1`: orchestrate — compact `req.shard` on every node
-  /// serving it. `req.node == node_id_`: the local leg (compact the
-  /// installed store).
+  /// serving it. `req.node == node_id_`: the local leg
+  /// (Machine::compact).
   std::vector<std::uint8_t> handle_compact(const ShardAdminRequest& req);
   /// Peer leg of a mutation: mark the mutated shards, then publish the
   /// version on this node's tracker.
   void handle_version_announce(const VersionAnnounce& a);
 
-  /// Pull a snapshot of `shard` from node `src` over the storage wire and
-  /// start serving it (storage service + ServingUnit). Idempotent.
+  /// Adopt `shard` from node `src` (Machine::adopt) and start a
+  /// ServingUnit for it. Idempotent.
   void adopt_shard(ShardId shard, int src);
-  /// Stop serving `shard`: retire the unit, drain its scheduler, drain
-  /// in-flight storage fetches, free the data. Idempotent.
+  /// Stop serving `shard`: retire the unit, drain its scheduler, then drop
+  /// the shard from the machine (drains in-flight storage fetches, frees
+  /// the data). Idempotent.
   void drop_shard(ShardId shard);
-  void install_unit(ShardId shard, std::shared_ptr<VersionedShardStore> store);
+  void add_unit(ShardId shard, std::shared_ptr<DistGraphStorage> storage);
   /// The serving unit for `shard`; throws the wrong-owner RpcError when
   /// this node does not serve it (the client re-resolves and retries).
   std::shared_ptr<ServingUnit> unit_for(ShardId shard);
+
+  /// Synchronous query-plane call to `node`.
+  std::vector<std::uint8_t> call_node(int node, const char* method,
+                                      std::vector<std::uint8_t> payload);
 
   /// Apply `next` locally, then push it to every live mesh member
   /// (clients included). Per-peer failures are logged, not fatal — a
@@ -160,13 +163,10 @@ class ClusterNode {
 
   ClusterConfig config_;
   int node_id_;
-  NodeId num_nodes_ = 0;
   ShardedGraph sharded_;
 
   std::shared_ptr<TcpTransport> transport_;
-  std::unique_ptr<RpcEndpoint> endpoint_;
-  std::shared_ptr<RoutingTable> routing_;
-  std::unique_ptr<GraphStorageService> storage_service_;
+  std::unique_ptr<Machine> machine_;
 
   serve::ServeOptions serve_options_;
   serve::ServiceStats stats_;
@@ -178,12 +178,8 @@ class ClusterNode {
   /// when its epoch+1 map publishes).
   std::mutex admin_mutex_;
 
-  /// This node's view of the graph-version plane. The coordinator's
-  /// tracker advances when it publishes a batch; every other node's
-  /// advances on the version announcement.
-  std::shared_ptr<VersionTracker> tracker_;
-  /// Serializes mutation batches on the coordinator (versions are handed
-  /// out strictly ascending).
+  /// Serializes mutate + announce on the coordinator, so every peer
+  /// learns versions in ascending order.
   std::mutex mutation_mu_;
 
   std::unique_ptr<ThreadPool> query_pool_;

@@ -1,9 +1,12 @@
 // Cluster: bootstraps the simulated distributed deployment, mirroring the
 // paper's setup — K machines, each hosting one graph shard in shared
-// memory, a Graph Storage server, and P computing processes. Machines
-// communicate through the RPC layer; intra-machine access is direct.
+// memory, a Graph Storage server, and P computing processes. Each machine
+// is a storage/machine.hpp Machine, the same definition a real
+// graph_engine_node runs; here all K share one InProcTransport and one
+// version tracker, so a published mutation needs no announcement.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -14,16 +17,14 @@
 #include "ppr/tensor_push.hpp"
 #include "rpc/endpoint.hpp"
 #include "storage/dist_storage.hpp"
+#include "storage/machine.hpp"
 #include "storage/storage_service.hpp"
 #include "storage/versioned_shard.hpp"
 
 namespace ppr {
 
-enum class TransportKind { kInProc, kSocket };
-
 struct ClusterOptions {
   int num_machines = 4;
-  TransportKind transport = TransportKind::kInProc;
   /// Network cost model for the in-process transport. Pass a zeroed model
   /// to disable simulated latency (tests do this).
   NetworkModel network{};
@@ -46,7 +47,7 @@ inline NetworkModel no_network_cost() { return NetworkModel{0.0, 0.0}; }
 class Cluster {
  public:
   /// Shard `g` by `assignment` (values in [0, num_machines)) and start
-  /// every machine's endpoint, storage service, and storage client.
+  /// every machine with shard m on machine m.
   Cluster(const Graph& g, const PartitionAssignment& assignment,
           ClusterOptions options);
   ~Cluster();
@@ -55,61 +56,57 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   int num_machines() const { return options_.num_machines; }
-  NodeId num_nodes() const { return num_nodes_; }
+  NodeId num_nodes() const { return sharded_.mapping.num_nodes(); }
   const GlobalMapping& mapping() const { return sharded_.mapping; }
-  const GraphShard& shard(int machine) const {
-    return *sharded_.shards[static_cast<std::size_t>(machine)];
+  /// Shard `shard` as the cluster was built (before any mutation).
+  const GraphShard& shard(ShardId shard) const {
+    return *sharded_.shards[static_cast<std::size_t>(shard)];
   }
-  DistGraphStorage& storage(int machine) {
-    return *storages_[static_cast<std::size_t>(machine)];
+  /// Shard `shard`'s client on the primary this cluster last published,
+  /// so it follows the shard through migrations (mutations land on the
+  /// primary's copy). Thread-safe against a concurrent migration; a
+  /// reference taken earlier stays valid for the cluster's lifetime.
+  DistGraphStorage& storage(ShardId shard) {
+    return *primaries_[static_cast<std::size_t>(shard)].load(
+        std::memory_order_acquire);
   }
-  RpcEndpoint& endpoint(int machine) {
-    return *endpoints_[static_cast<std::size_t>(machine)];
-  }
+  RpcEndpoint& endpoint(int machine) { return machine_at(machine).endpoint(); }
   GraphStorageService& service(int machine) {
-    return *services_[static_cast<std::size_t>(machine)];
+    return machine_at(machine).service();
   }
   /// Machine m's live routing table (each machine routes independently —
   /// exactly like separate processes — so tests can hold one machine's
   /// table stale and exercise the redirect path).
-  RoutingTable& routing(int machine) {
-    return *routing_[static_cast<std::size_t>(machine)];
-  }
+  RoutingTable& routing(int machine) { return machine_at(machine).routing(); }
 
-  /// Live shard migration over the real wire path: machine `dst` pulls a
-  /// full snapshot of `shard` from its current primary via the storage
-  /// RPC, installs it, the new placement (epoch+1) is published to every
-  /// machine's routing table except those in `skip_publish` (left stale
-  /// on purpose — the stale-epoch retry test), and the source drains
-  /// in-flight fetches and drops the shard.
+  /// Live shard migration over the real wire path: machine `dst` adopts a
+  /// snapshot of `shard` from its current primary (Machine::adopt), the
+  /// new placement (epoch+1) is published to every machine's routing
+  /// table except those in `skip_publish` (left stale on purpose — the
+  /// stale-epoch retry test), and the source drains in-flight fetches and
+  /// drops the shard.
   void migrate_shard(ShardId shard, int dst,
                      const std::vector<int>& skip_publish = {});
 
-  /// Add a read replica of `shard` on `machine`: snapshot-copy from the
-  /// primary, install, publish with_replica to all tables (minus
+  /// Add a read replica of `shard` on `machine`: adopt a snapshot from
+  /// the primary, publish with_replica to all tables (minus
   /// `skip_publish`).
   void add_replica(ShardId shard, int machine,
                    const std::vector<int>& skip_publish = {});
 
   /// Streaming edge mutations (DESIGN.md §15): apply one batch of
-  /// undirected global-id edge ops as the next graph version. The
-  /// coordinator (machine 0) translates each op into per-shard delta
-  /// operations (both directions of every edge), pre-fetches the
-  /// weighted-degree hints at the current version, ships one MutateEdges
-  /// RPC to every affected shard's owner AND replicas (in that order, so
-  /// replicas never reorder versions), then publishes the version to the
-  /// shared tracker. Queries admitted before the publish keep reading
-  /// their pinned snapshot. Returns the published version.
+  /// undirected global-id edge ops as the next graph version, coordinated
+  /// by machine 0 (Machine::apply_mutations — the same coordinator a
+  /// graph_engine_node runs). Queries admitted before the publish keep
+  /// reading their pinned snapshot. Returns the published version.
   std::uint64_t apply_edge_mutations(std::span<const EdgeMutationOp> ops);
 
   /// Fold shard `shard`'s delta segments into a fresh base CSR on every
-  /// node serving it (Copy→Publish→Retire; pinned snapshots stay alive).
+  /// machine serving it (Copy→Publish→Retire; pinned snapshots stay
+  /// alive).
   void compact_shard(ShardId shard);
   void compact_all();
 
-  /// The shared version plane: one tracker for the whole in-proc cluster
-  /// (each real process has its own, fed by version announcements).
-  VersionTracker& version_tracker() { return *tracker_; }
   /// Newest published graph version (0 = never mutated).
   std::uint64_t graph_version() const { return tracker_->published(); }
   /// The primary's store for `shard` (for tests and tools).
@@ -120,12 +117,12 @@ class Cluster {
   /// Map a global node id to its owning shard's NodeRef.
   NodeRef locate(NodeId global) const { return sharded_.mapping.to_ref(global); }
 
-  /// Reset the per-machine fetch statistics (before a measured run); also
-  /// clears the adjacency-cache counters (cached rows stay resident).
+  /// Reset the fetch statistics of every client (before a measured run);
+  /// also clears the adjacency-cache counters (cached rows stay resident).
   void reset_stats();
-  /// Aggregate remote-traversal ratio across machines since last reset.
+  /// Aggregate remote-traversal ratio across clients since last reset.
   double remote_ratio() const;
-  /// Aggregate remote-traffic counters across machines since last reset.
+  /// Aggregate remote-traffic counters across clients since last reset.
   std::uint64_t total_remote_calls() const;
   std::uint64_t total_remote_nodes() const;
   std::uint64_t total_remote_bytes() const;
@@ -134,25 +131,36 @@ class Cluster {
   std::uint64_t total_adjacency_cache_misses() const;
 
  private:
-  /// Pull a wire snapshot of `shard` into machine `dst` from `src`
-  /// (counts migration.bytes_copied) and decode it. The copy is the full
-  /// versioned store — base CSR plus pending delta segments — so an
-  /// adopted shard resumes at the source's exact version state.
-  std::shared_ptr<VersionedShardStore> pull_snapshot(ShardId shard, int src,
-                                                     int dst);
+  Machine& machine_at(int machine) {
+    return *machines_[static_cast<std::size_t>(machine)];
+  }
+  /// Keep `client` for the cluster's lifetime (counted by the aggregate
+  /// statistics) unless it is already kept. Caller holds admin_mu_.
+  void keep(std::shared_ptr<DistGraphStorage> client);
+  /// Make `next` the published map: apply it to every routing table not
+  /// in `skip_publish` and point storage(s) at each shard's primary.
+  /// Caller holds admin_mu_.
   void publish(const ShardMap& next, const std::vector<int>& skip_publish);
+  /// Sum `field` over every kept client.
+  template <typename F>
+  std::uint64_t sum_clients(F field) const;
 
   ClusterOptions options_;
-  NodeId num_nodes_ = 0;
   ShardedGraph sharded_;
   std::shared_ptr<Transport> transport_;
-  std::vector<std::unique_ptr<RpcEndpoint>> endpoints_;
-  std::vector<std::shared_ptr<RoutingTable>> routing_;
-  std::vector<std::unique_ptr<GraphStorageService>> services_;
-  std::vector<std::unique_ptr<DistGraphStorage>> storages_;
-  std::unique_ptr<TensorPushContext> tensor_ctx_;
   std::shared_ptr<VersionTracker> tracker_;
-  std::mutex mutation_mu_;  // serializes apply_edge_mutations
+  std::vector<std::unique_ptr<Machine>> machines_;
+  std::unique_ptr<TensorPushContext> tensor_ctx_;
+
+  /// Serializes migrations and replica additions; guards published_ and
+  /// clients_.
+  mutable std::mutex admin_mu_;
+  ShardMap published_;
+  /// Every client a machine built for this cluster, retired ones
+  /// included: storage() hands out references that must outlive a
+  /// migration.
+  std::vector<std::shared_ptr<DistGraphStorage>> clients_;
+  std::unique_ptr<std::atomic<DistGraphStorage*>[]> primaries_;
 };
 
 }  // namespace ppr

@@ -1,7 +1,5 @@
-// Shared frame I/O for the socket-based transports.
-//
-// SocketTransport (Unix socketpair mesh) and TcpTransport (real TCP mesh)
-// speak the same wire framing:
+// Frame I/O for TcpTransport's links (TCP connections and the
+// self-loop socketpair), which all speak one wire framing:
 //
 //   data frame:    [u64 header_len][u64 payload_len][header][payload]
 //   control frame: [u64 kControlTag][u64 code]
@@ -10,9 +8,9 @@
 // is the message's own buffer (scatter-gathered with writev, never copied
 // into a flat frame). Control frames reuse the length-prefix slot with a
 // tag no data frame can produce (a header can never be 2^64-1 bytes), so
-// one reader loop handles both planes. This file factors the hardened
-// read/write loops — short reads, short writes, EINTR, SIGPIPE — so both
-// transports share a single audited implementation.
+// one reader loop handles both planes. This file holds the hardened
+// read/write loops — short reads, short writes, EINTR, SIGPIPE — as one
+// audited implementation the transport and the wire-level tests share.
 #pragma once
 
 #include <sys/uio.h>

@@ -18,7 +18,7 @@ enum class MessageKind : std::uint8_t { kRequest = 0, kResponse = 1 };
 /// Scatter-gather view of an encoded message: a small owned header (frame
 /// fields + string metadata + payload length) plus a *borrowed* span over
 /// the message's payload bytes. Writing header and payload as separate
-/// spans (writev) is what lets SocketTransport ship a message without ever
+/// spans (writev) is what lets TcpTransport ship a message without ever
 /// copying the payload into a flat frame. The view is only valid while the
 /// Message it came from is alive and unmodified.
 struct FrameView {

@@ -326,7 +326,7 @@ void TcpTransport::connect_mesh() {
   for (auto& l : out_links_) l = std::make_unique<Link>();
   in_fds_.assign(static_cast<std::size_t>(n), -1);
 
-  // Self loop: a socketpair, same as SocketTransport's diagonal.
+  // Self loop: a local socketpair speaking the same framing.
   {
     int fds[2];
     GE_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,

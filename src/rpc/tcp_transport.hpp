@@ -1,16 +1,15 @@
 // TcpTransport: the real multi-process transport (DESIGN.md §12).
 //
-// Where InProcTransport simulates K machines with queues and
-// SocketTransport hosts all K in one process over socketpairs, a
-// TcpTransport instance serves exactly ONE node of a K-node mesh; the
-// other K-1 nodes are separate OS processes, possibly on other hosts.
-// Frames, codecs, and trace propagation are identical to SocketTransport
-// (the shared frame_io path), so RpcEndpoint and everything above it work
-// unchanged.
+// Where InProcTransport simulates K machines with queues, a TcpTransport
+// instance serves exactly ONE node of a K-node mesh; the other K-1 nodes
+// are separate OS processes, possibly on other hosts (or, in tests, other
+// TcpTransport instances of one process over loopback). Frames, codecs,
+// and trace propagation go through rpc/frame_io.hpp, so RpcEndpoint and
+// everything above it work unchanged.
 //
-// Link layout mirrors SocketTransport: one ordered TCP connection per
-// (src, dst) pair — the side that will *send* on a link is the side that
-// connects — plus a local socketpair for the self loop. Bootstrap:
+// Link layout: one ordered TCP connection per (src, dst) pair — the side
+// that will *send* on a link is the side that connects — plus a local
+// socketpair for the self loop. Bootstrap:
 //
 //   1. bind+listen on this node's configured port (SO_REUSEADDR, backlog
 //      >= cluster size; TCP_NODELAY on every accepted/made connection);

@@ -6,8 +6,9 @@
 //     This reproduces the paper's single-server simulation of a cluster
 //     while keeping the fixed per-RPC overhead that makes small frequent
 //     messages expensive (the phenomenon §3.2.3 optimizes away).
-//   * SocketTransport — real Unix socketpair mesh with length-prefixed
-//     frames; exercises the OS networking path for integration tests.
+//   * TcpTransport — one node of a real TCP mesh with length-prefixed
+//     frames (rpc/tcp_transport.hpp). The K nodes are normally separate
+//     processes; tests also run a loopback mesh inside one process.
 #pragma once
 
 #include <cstdint>

@@ -442,13 +442,6 @@ SampleResult DistGraphStorage::sample_one_neighbor(
 std::vector<float> DistGraphStorage::get_weighted_degrees(
     ShardId dst, std::span<const NodeId> locals,
     std::uint64_t graph_version) const {
-  if (dst == shard_id_) {
-    const auto snap = local_store_->snapshot(resolve_pin(graph_version));
-    std::vector<float> degs;
-    degs.reserve(locals.size());
-    for (const NodeId l : locals) degs.push_back(snap->weighted_degree(l));
-    return degs;
-  }
   StorageCall call(this, storage_method::kGetWeightedDegs, dst);
   ByteWriter w(BufferPool::global().acquire());
   write_fetch_header(w, dst, graph_version);
@@ -462,26 +455,6 @@ std::vector<float> DistGraphStorage::get_weighted_degrees(
   auto degs = r.read_vec<float>();
   BufferPool::global().release(std::move(payload));
   return degs;
-}
-
-void DistGraphStorage::apply_mutations_remote(
-    int node, ShardId shard, std::uint64_t version,
-    const MutationBatch& batch) const {
-  GE_REQUIRE(node >= 0 && node < static_cast<int>(rrefs_.size()),
-             "mutation target node out of range");
-  // Addressed to a SPECIFIC node (owner, then each replica in version
-  // order) — never routed through read_target, which round-robins over
-  // replicas and could skip one.
-  // The header's graph version is the version the batch creates.
-  ByteWriter w(BufferPool::global().acquire());
-  write_storage_header(w, shard, routing_->epoch(), version);
-  batch.encode(w);
-  RpcFuture future = endpoint_.async_call(
-      node, kStorageServiceName, storage_method::kMutateEdges, w.take());
-  std::vector<std::uint8_t> payload = future.wait();
-  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
-             "mutate_edges reply not OK");
-  BufferPool::global().release(std::move(payload));
 }
 
 }  // namespace ppr

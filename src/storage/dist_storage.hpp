@@ -374,20 +374,13 @@ class DistGraphStorage {
   static KSampleResult decode_k_sample(
       std::span<const std::uint8_t> payload);
 
-  /// Weighted degrees of core nodes of shard `dst` at `graph_version` —
-  /// the mutation coordinator's pre-insert hint fetch
-  /// (EdgeInsert::nbr_weighted_deg). Served locally for the own shard.
+  /// Weighted degrees of core nodes of shard `dst` at `graph_version`,
+  /// fetched by kGetWeightedDegs — the mutation coordinator's pre-insert
+  /// hint (EdgeInsert::nbr_weighted_deg) for a shard its machine does not
+  /// hold (see Machine::apply_mutations).
   std::vector<float> get_weighted_degrees(ShardId dst,
                                           std::span<const NodeId> locals,
                                           std::uint64_t graph_version) const;
-
-  /// Apply one MutationBatch at an explicit version on a SPECIFIC node's
-  /// copy of `shard` — addressed directly (owner first, then every
-  /// replica, in version order), bypassing the read-target round-robin so
-  /// replicas never miss a version. Blocks until the node acks.
-  void apply_mutations_remote(int node, ShardId shard,
-                              std::uint64_t version,
-                              const MutationBatch& batch) const;
 
   FetchStats& stats() const { return stats_; }
 

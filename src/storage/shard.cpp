@@ -424,6 +424,19 @@ void GraphShard::serialize(ByteWriter& w) const {
   w.write_vec(halo_nbr_global_ids_);
 }
 
+namespace {
+/// A peer's CSR offsets must start at 0, never decrease, and end at the
+/// edge count — otherwise a row would read outside the edge arrays.
+void require_offsets(std::span<const EdgeIndex> indptr, std::size_t edges,
+                     const char* what) {
+  GE_REQUIRE(!indptr.empty() && indptr.front() == 0 &&
+                 static_cast<std::size_t>(indptr.back()) == edges &&
+                 std::is_sorted(indptr.begin(), indptr.end()),
+             std::string("snapshot ") + what +
+                 " offsets are not a CSR over its edges");
+}
+}  // namespace
+
 std::shared_ptr<GraphShard> GraphShard::deserialize(ByteReader& r) {
   const auto version = r.read<std::uint8_t>();
   GE_REQUIRE(version == 1,
@@ -442,23 +455,28 @@ std::shared_ptr<GraphShard> GraphShard::deserialize(ByteReader& r) {
   GE_REQUIRE(!shard->indptr_.empty(), "snapshot missing CSR offsets");
   const std::size_t cores = shard->indptr_.size() - 1;
   const std::size_t edges = shard->nbr_local_ids_.size();
+  require_offsets(shard->indptr_, edges, "core");
   GE_REQUIRE(shard->core_global_ids_.size() == cores &&
                  shard->core_weighted_deg_.size() == cores,
              "snapshot core arrays disagree on node count");
   GE_REQUIRE(shard->nbr_shard_ids_.size() == edges &&
                  shard->edge_weights_.size() == edges &&
                  shard->nbr_weighted_deg_.size() == edges &&
-                 shard->nbr_global_ids_.size() == edges &&
-                 static_cast<std::size_t>(shard->indptr_.back()) == edges,
+                 shard->nbr_global_ids_.size() == edges,
              "snapshot edge arrays disagree on edge count");
   shard->halo_cache_enabled_ = r.read<std::uint8_t>() != 0;
   if (!shard->halo_cache_enabled_) return shard;
   const auto num_halo = r.read<std::uint64_t>();
+  // Each halo entry owes 12 bytes, so a hostile count cannot force a huge
+  // table past the frame.
+  GE_REQUIRE(num_halo <= r.remaining() / 12,
+             "snapshot halo row count exceeds frame");
   shard->halo_row_of_ =
       FlatMap<std::uint32_t>(static_cast<std::size_t>(num_halo) * 2);
   for (std::uint64_t i = 0; i < num_halo; ++i) {
     const auto key = r.read<std::uint64_t>();
     const auto row = r.read<std::uint32_t>();
+    GE_REQUIRE(row < num_halo, "snapshot halo row index out of range");
     shard->halo_row_of_[key] = row;
   }
   shard->halo_indptr_ = r.read_vec<EdgeIndex>();
@@ -471,6 +489,7 @@ std::shared_ptr<GraphShard> GraphShard::deserialize(ByteReader& r) {
   GE_REQUIRE(shard->halo_indptr_.size() == num_halo + 1,
              "snapshot halo offsets disagree with halo row count");
   const std::size_t halo_edges = shard->halo_nbr_local_ids_.size();
+  require_offsets(shard->halo_indptr_, halo_edges, "halo");
   GE_REQUIRE(shard->halo_nbr_shard_ids_.size() == halo_edges &&
                  shard->halo_edge_weights_.size() == halo_edges &&
                  shard->halo_nbr_weighted_deg_.size() == halo_edges &&

@@ -125,6 +125,7 @@ class GlobalMapping {
   GlobalMapping(const PartitionAssignment& assignment, int num_shards);
 
   int num_shards() const { return static_cast<int>(core_globals_.size()); }
+  NodeId num_nodes() const { return static_cast<NodeId>(shard_of_.size()); }
   NodeRef to_ref(NodeId global) const {
     return NodeRef{local_of_[static_cast<std::size_t>(global)],
                    shard_of_[static_cast<std::size_t>(global)]};

@@ -19,20 +19,6 @@ GraphStorageService::GraphStorageService(RpcEndpoint& endpoint,
       });
 }
 
-GraphStorageService::GraphStorageService(
-    RpcEndpoint& endpoint, std::shared_ptr<const GraphShard> shard)
-    : GraphStorageService(
-          endpoint, std::make_shared<RoutingTable>(
-                        ShardMap::identity(endpoint.num_machines()))) {
-  install_shard(std::move(shard));
-}
-
-void GraphStorageService::install_shard(
-    std::shared_ptr<const GraphShard> shard) {
-  GE_REQUIRE(shard != nullptr, "null shard");
-  install_store(std::make_shared<VersionedShardStore>(std::move(shard)));
-}
-
 void GraphStorageService::install_store(
     std::shared_ptr<VersionedShardStore> store) {
   GE_REQUIRE(store != nullptr, "null store");

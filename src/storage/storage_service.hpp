@@ -119,21 +119,13 @@ inline FetchOptions fetch_options_from_flags(std::uint8_t flags) {
 class GraphStorageService {
  public:
   /// Registers the service on `endpoint` under kStorageServiceName.
-  /// Shards are installed afterwards (install_shard).
+  /// Stores are installed afterwards (install_store).
   GraphStorageService(RpcEndpoint& endpoint,
                       std::shared_ptr<RoutingTable> routing);
 
-  /// Single-shard convenience (tests, in-process clusters): identity
-  /// routing over the endpoint's machine count, with `shard` installed.
-  GraphStorageService(RpcEndpoint& endpoint,
-                      std::shared_ptr<const GraphShard> shard);
-
-  /// Begin serving `shard`, wrapped as a pristine (version-0) store.
-  /// Idempotent per shard id.
-  void install_shard(std::shared_ptr<const GraphShard> shard);
-
   /// Begin serving a versioned store (migration adoption / replica
   /// bootstrap land here with the source's version state intact).
+  /// Replaces any store installed for the same shard id.
   void install_store(std::shared_ptr<VersionedShardStore> store);
 
   /// Stop serving `shard`: unlink it so new requests see a stale-route

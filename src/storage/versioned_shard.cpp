@@ -154,6 +154,8 @@ std::size_t ShardSnapshot::merge_row(NodeId local) const {
 }
 
 float ShardSnapshot::weighted_degree(NodeId local) const {
+  GE_REQUIRE(local >= 0 && local < num_core_nodes(),
+             "local id out of range for shard");
   if (!dirty(local)) return base_->core_weighted_degree(local);
   return scratch_.row(merge_row(local)).weighted_degree;
 }

@@ -42,6 +42,7 @@
 #include "rpc/wire_protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/stats.hpp"
+#include "tcp_mesh.hpp"
 
 namespace ppr {
 namespace {
@@ -284,39 +285,6 @@ TEST(Handshake, RejectsEveryMismatchClass) {
 
 // ---------------------------------------------------------------------------
 // TcpTransport: in-process mesh over loopback ephemeral ports
-
-std::vector<std::unique_ptr<TcpTransport>> make_mesh(
-    int n, TcpTransportOptions options = {}) {
-  const std::vector<TcpPeer> peers(static_cast<std::size_t>(n),
-                                   TcpPeer{"127.0.0.1", 0});
-  std::vector<std::unique_ptr<TcpTransport>> ts;
-  ts.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ts.push_back(std::make_unique<TcpTransport>(i, peers, options));
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      ts[static_cast<std::size_t>(i)]->set_peer_port(
-          j, ts[static_cast<std::size_t>(j)]->listen_port());
-    }
-  }
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  std::exception_ptr error;
-  for (auto& t : ts) {
-    threads.emplace_back([&t, &mu, &error] {
-      try {
-        t->connect_mesh();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  if (error) std::rethrow_exception(error);
-  return ts;
-}
 
 struct Inbox {
   std::mutex mu;
@@ -740,11 +708,11 @@ TEST(ClusterEndToEnd, ThreeProcessesMatchInProcessAnswers) {
   ASSERT_NE(client, nullptr) << "cluster never booted";
 
   // In-process reference: same graph, same deterministic partition, same
-  // serving options, over the socketpair transport.
+  // serving options, over the in-process transport.
   const PartitionAssignment assignment = load_cluster_partition(config, g);
   ClusterOptions ref_options;
   ref_options.num_machines = 3;
-  ref_options.transport = TransportKind::kSocket;
+  ref_options.network = no_network_cost();
   ref_options.server_threads = 2;
   Cluster reference(g, assignment, ref_options);
 

@@ -22,11 +22,9 @@ class ClusterFixture : public ::testing::Test {
     assignment_ = partition_multilevel(graph_, 4);
   }
 
-  std::unique_ptr<Cluster> make_cluster(TransportKind kind,
-                                        int machines = 4) {
+  std::unique_ptr<Cluster> make_cluster(int machines = 4) {
     ClusterOptions opts;
     opts.num_machines = machines;
-    opts.transport = kind;
     opts.network = no_network_cost();
     const PartitionAssignment assignment =
         machines == 4 ? assignment_ : partition_multilevel(graph_, machines);
@@ -38,7 +36,7 @@ class ClusterFixture : public ::testing::Test {
 };
 
 TEST_F(ClusterFixture, ShardsCoverGraph) {
-  auto cluster = make_cluster(TransportKind::kInProc);
+  auto cluster = make_cluster();
   NodeId total_core = 0;
   EdgeIndex total_edges = 0;
   for (int m = 0; m < cluster->num_machines(); ++m) {
@@ -50,7 +48,7 @@ TEST_F(ClusterFixture, ShardsCoverGraph) {
 }
 
 TEST_F(ClusterFixture, AllDriverModesMatchReference) {
-  auto cluster = make_cluster(TransportKind::kInProc);
+  auto cluster = make_cluster();
   const NodeId source_global = 50;
   const NodeRef source = cluster->locate(source_global);
   const auto ref =
@@ -72,21 +70,8 @@ TEST_F(ClusterFixture, AllDriverModesMatchReference) {
   }
 }
 
-TEST_F(ClusterFixture, SocketTransportMatchesInProc) {
-  auto inproc = make_cluster(TransportKind::kInProc);
-  auto socket = make_cluster(TransportKind::kSocket);
-  const NodeRef source = inproc->locate(200);
-  const SspprOptions o{.alpha = kAlpha, .epsilon = 1e-6};
-  SspprState a = compute_ssppr(inproc->storage(source.shard), source, o);
-  SspprState b = compute_ssppr(socket->storage(source.shard), source, o);
-  const auto da = a.to_dense(inproc->mapping(), graph_.num_nodes());
-  const auto db = b.to_dense(socket->mapping(), graph_.num_nodes());
-  EXPECT_LT(max_error(da, db), 1e-12)
-      << "same partition + deterministic algorithm => identical result";
-}
-
 TEST_F(ClusterFixture, OwnerComputeRuleEnforced) {
-  auto cluster = make_cluster(TransportKind::kInProc);
+  auto cluster = make_cluster();
   const NodeRef source = cluster->locate(10);
   const int wrong_machine = (source.shard + 1) % cluster->num_machines();
   EXPECT_THROW(compute_ssppr(cluster->storage(wrong_machine), source,
@@ -95,8 +80,8 @@ TEST_F(ClusterFixture, OwnerComputeRuleEnforced) {
 }
 
 TEST_F(ClusterFixture, RemoteRatioGrowsWithMachines) {
-  auto c2 = make_cluster(TransportKind::kInProc, 2);
-  auto c8 = make_cluster(TransportKind::kInProc, 8);
+  auto c2 = make_cluster(2);
+  auto c8 = make_cluster(8);
   for (Cluster* cluster : {c2.get(), c8.get()}) {
     cluster->reset_stats();
     for (const NodeId global : {7, 77, 177, 477}) {
@@ -112,7 +97,7 @@ TEST_F(ClusterFixture, RemoteRatioGrowsWithMachines) {
 }
 
 TEST_F(ClusterFixture, ThroughputHarnessRuns) {
-  auto cluster = make_cluster(TransportKind::kInProc);
+  auto cluster = make_cluster();
   WorkloadOptions w;
   w.procs_per_machine = 2;
   w.queries_per_machine = 4;
@@ -128,7 +113,7 @@ TEST_F(ClusterFixture, ThroughputHarnessRuns) {
 }
 
 TEST_F(ClusterFixture, BreakdownPhasesCoverWork) {
-  auto cluster = make_cluster(TransportKind::kInProc);
+  auto cluster = make_cluster();
   PhaseTimers timers;
   const NodeRef source = cluster->locate(99);
   compute_ssppr(cluster->storage(source.shard), source,

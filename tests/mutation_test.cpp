@@ -460,6 +460,65 @@ TEST_F(MutationFixture, ReplicasStayInVersionLockstep) {
 }
 
 // ---------------------------------------------------------------------
+// storage(s) follows a migrated shard, so mutations coordinated after the
+// move reach the copy its queries read.
+
+TEST(MigratedShard, MutationsReachTheShardStorageReads) {
+  const Graph g = generate_clustered(600, 3, 3000, 400, 1.6, 11);
+  const PartitionAssignment assignment = partition_hash(g, 3);
+  ClusterOptions opts;
+  opts.num_machines = 3;
+  opts.network = no_network_cost();
+  Cluster moved(g, assignment, opts);
+  Cluster reference(g, assignment, opts);
+
+  // Insert one edge at u, the first node of shard 2, to a node it does
+  // not yet touch.
+  NodeId u = 0;
+  while (moved.locate(u).shard != 2) ++u;
+  const auto nbrs = g.neighbors(u);
+  NodeId v = 0;
+  while (v == u || std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end()) ++v;
+  const std::vector<EdgeMutationOp> insert{{u, v, 1.0f, true}};
+
+  moved.migrate_shard(2, 1);
+  moved.apply_edge_mutations(insert);
+  reference.apply_edge_mutations(insert);
+
+  const NodeRef src = moved.locate(u);
+  EXPECT_EQ(moved.storage(2)
+                .local_store()
+                .snapshot()
+                ->vertex_prop(src.local)
+                .degree(),
+            reference.storage(2)
+                .local_store()
+                .snapshot()
+                ->vertex_prop(src.local)
+                .degree());
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
+  const SspprState got = compute_ssppr(moved.storage(2), src, ppr);
+  const SspprState want = compute_ssppr(reference.storage(2), src, ppr);
+  EXPECT_EQ(got.num_pushes(), want.num_pushes());
+  expect_identical(sorted_ppr(got), sorted_ppr(want), "migrated shard");
+}
+
+// The coordinator's weighted-degree hint rejects ids past the shard's
+// core nodes, locally and over the wire, as a row read does.
+TEST_F(MutationFixture, HintFetchRejectsOutOfRangeIds) {
+  auto cluster = make_cluster();
+  const NodeId core = cluster->shard(1).num_core_nodes();
+  const auto snap = cluster->store(1)->snapshot(0);
+  EXPECT_THROW((void)snap->weighted_degree(core), InvalidArgument);
+  for (const NodeId id : {core, core + 3}) {
+    const NodeId ids[] = {id};
+    EXPECT_THROW((void)cluster->storage(0).get_weighted_degrees(1, ids, 0),
+                 RpcError)
+        << "id " << id;
+  }
+}
+
+// ---------------------------------------------------------------------
 // Concurrency: queries pinned at version 0 stay bit-identical while
 // mutation batches land and a compaction completes mid-stream.
 

@@ -6,7 +6,7 @@
 #include "obs/trace.hpp"
 #include "rpc/endpoint.hpp"
 #include "rpc/inproc_transport.hpp"
-#include "rpc/socket_transport.hpp"
+#include "tcp_mesh.hpp"
 
 namespace ppr {
 namespace {
@@ -136,12 +136,27 @@ TEST(NetworkModel, DelayScalesWithSize) {
   EXPECT_FALSE(off.enabled());
 }
 
+/// One transport per machine: `n` handles on one InProcTransport, or the
+/// `n` members of a loopback TCP mesh (one TcpTransport per node).
+using Transports = std::vector<std::shared_ptr<Transport>>;
+
+Transports inproc(int n, NetworkModel model = NetworkModel{0, 0}) {
+  return Transports(static_cast<std::size_t>(n),
+                    std::make_shared<InProcTransport>(n, model));
+}
+
+Transports tcp(int n) {
+  const auto mesh = make_mesh(n);
+  return Transports(mesh.begin(), mesh.end());
+}
+
 class EchoFixture {
  public:
-  explicit EchoFixture(std::shared_ptr<Transport> transport)
-      : transport_(std::move(transport)) {
-    for (int m = 0; m < transport_->num_machines(); ++m) {
-      endpoints_.push_back(std::make_unique<RpcEndpoint>(transport_, m, 2));
+  explicit EchoFixture(Transports transports)
+      : transports_(std::move(transports)) {
+    for (int m = 0; m < static_cast<int>(transports_.size()); ++m) {
+      endpoints_.push_back(std::make_unique<RpcEndpoint>(
+          transports_[static_cast<std::size_t>(m)], m, 2));
       endpoints_.back()->register_service(
           "echo", [m](const std::string& method,
                       std::span<const std::uint8_t> payload) {
@@ -155,7 +170,7 @@ class EchoFixture {
   RpcEndpoint& endpoint(int m) { return *endpoints_[static_cast<std::size_t>(m)]; }
 
  private:
-  std::shared_ptr<Transport> transport_;
+  Transports transports_;
   std::vector<std::unique_ptr<RpcEndpoint>> endpoints_;
 };
 
@@ -203,23 +218,22 @@ void run_echo_suite(EchoFixture& fx) {
 }
 
 TEST(InProcTransport, EchoSuite) {
-  EchoFixture fx(std::make_shared<InProcTransport>(2, NetworkModel{0, 0}));
+  EchoFixture fx(inproc(2));
   run_echo_suite(fx);
 }
 
 TEST(InProcTransport, EchoSuiteWithNetworkModel) {
-  EchoFixture fx(
-      std::make_shared<InProcTransport>(2, NetworkModel{5.0, 8.0}));
+  EchoFixture fx(inproc(2, NetworkModel{5.0, 8.0}));
   run_echo_suite(fx);
 }
 
-TEST(SocketTransport, EchoSuite) {
-  EchoFixture fx(std::make_shared<SocketTransport>(2));
+TEST(TcpTransportLoopback, EchoSuite) {
+  EchoFixture fx(tcp(2));
   run_echo_suite(fx);
 }
 
-TEST(SocketTransport, FourMachineMesh) {
-  EchoFixture fx(std::make_shared<SocketTransport>(4));
+TEST(TcpTransportLoopback, FourMachineMesh) {
+  EchoFixture fx(tcp(4));
   for (int src = 0; src < 4; ++src) {
     for (int dst = 0; dst < 4; ++dst) {
       const auto r = fx.endpoint(src).sync_call(dst, "echo", "m", {42});
@@ -235,11 +249,11 @@ TEST(SocketTransport, FourMachineMesh) {
 // crossed between callers. Payloads carry a per-(thread, call) pattern of
 // varying size so any frame corruption or mis-association shows up as a
 // content mismatch, not just a wrong length.
-TEST(SocketTransport, ConcurrentMultiClientLoad) {
+TEST(TcpTransportLoopback, ConcurrentMultiClientLoad) {
   constexpr int kMachines = 4;
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 64;
-  EchoFixture fx(std::make_shared<SocketTransport>(kMachines));
+  EchoFixture fx(tcp(kMachines));
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -285,8 +299,8 @@ TEST(SocketTransport, ConcurrentMultiClientLoad) {
       << "frame interleaving or response mis-association under load";
 }
 
-TEST(SocketTransport, LargePayload) {
-  EchoFixture fx(std::make_shared<SocketTransport>(2));
+TEST(TcpTransportLoopback, LargePayload) {
+  EchoFixture fx(tcp(2));
   std::vector<std::uint8_t> big(1 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 31);
@@ -302,13 +316,14 @@ TEST(SocketTransport, LargePayload) {
 // across "machines". The service below reports the trace id the handler
 // observed; the suite checks it matches the client's span and that the
 // tracer recorded a server span parented under the client span.
-void run_trace_suite(std::shared_ptr<Transport> transport) {
+void run_trace_suite(const Transports& transports) {
   obs::Tracer::global().clear();
   obs::Tracer::global().set_enabled(true);
 
   std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-  for (int m = 0; m < transport->num_machines(); ++m) {
-    endpoints.push_back(std::make_unique<RpcEndpoint>(transport, m, 2));
+  for (int m = 0; m < static_cast<int>(transports.size()); ++m) {
+    endpoints.push_back(std::make_unique<RpcEndpoint>(
+        transports[static_cast<std::size_t>(m)], m, 2));
     endpoints.back()->register_service(
         "tracectx",
         [](const std::string&, std::span<const std::uint8_t>) {
@@ -352,11 +367,11 @@ void run_trace_suite(std::shared_ptr<Transport> transport) {
 }
 
 TEST(InProcTransport, TracePropagatesToServerSpans) {
-  run_trace_suite(std::make_shared<InProcTransport>(2, NetworkModel{0, 0}));
+  run_trace_suite(inproc(2));
 }
 
-TEST(SocketTransport, TracePropagatesToServerSpans) {
-  run_trace_suite(std::make_shared<SocketTransport>(2));
+TEST(TcpTransportLoopback, TracePropagatesToServerSpans) {
+  run_trace_suite(tcp(2));
 }
 
 TEST(Endpoint, LocalCallBypassesTransport) {

@@ -5,6 +5,7 @@
 #include "partition/partitioner.hpp"
 #include "rpc/inproc_transport.hpp"
 #include "storage/dist_storage.hpp"
+#include "storage/machine.hpp"
 #include "storage/storage_service.hpp"
 
 namespace ppr {
@@ -174,28 +175,20 @@ class DistStorageFixture : public ShardFixture {
     transport_ =
         std::make_shared<InProcTransport>(kShards, NetworkModel{0, 0});
     for (int m = 0; m < kShards; ++m) {
-      endpoints_.push_back(std::make_unique<RpcEndpoint>(transport_, m, 1));
-      services_.push_back(std::make_unique<GraphStorageService>(
-          *endpoints_.back(), sharded_.shards[static_cast<std::size_t>(m)]));
-    }
-    for (int m = 0; m < kShards; ++m) {
-      std::vector<RemoteRef> rrefs;
-      for (int peer = 0; peer < kShards; ++peer) {
-        rrefs.emplace_back(endpoints_[static_cast<std::size_t>(m)].get(),
-                           peer, kStorageServiceName);
-      }
-      storages_.push_back(std::make_unique<DistGraphStorage>(
-          *endpoints_[static_cast<std::size_t>(m)], rrefs,
-          services_[static_cast<std::size_t>(m)]->store_ptr(m), tracker_));
+      machines_.push_back(std::make_unique<Machine>(
+          transport_, m, ShardMap::identity(kShards), tracker_,
+          sharded_.mapping, MachineConfig{}));
+      storages_.push_back(
+          machines_.back()->install(std::make_shared<VersionedShardStore>(
+              sharded_.shards[static_cast<std::size_t>(m)])));
     }
   }
 
   std::shared_ptr<VersionTracker> tracker_ =
       std::make_shared<VersionTracker>(kShards);
   std::shared_ptr<Transport> transport_;
-  std::vector<std::unique_ptr<RpcEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<GraphStorageService>> services_;
-  std::vector<std::unique_ptr<DistGraphStorage>> storages_;
+  std::vector<std::unique_ptr<Machine>> machines_;
+  std::vector<std::shared_ptr<DistGraphStorage>> storages_;
 };
 
 TEST_F(DistStorageFixture, RemoteFetchEqualsLocalTruth) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -367,6 +368,52 @@ TEST_F(WireCodecFixture, DecodeRejectsHostileFrames) {
     w.write_vec(std::vector<NodeId>{0});
     ByteReader r(w.bytes());
     EXPECT_THROW((void)NeighborBatch::decode_csr(r), InvalidArgument);
+  }
+  // Shard snapshots (what an adopting machine decodes): a core offset past
+  // the edges or below zero, and a halo row index past the halo rows.
+  {
+    const Graph g = generate_rmat(400, 1800, 0.55, 0.2, 0.15, 2024);
+    const ShardedGraph sg =
+        build_sharded_graph(g, partition_multilevel(g, 3), 3, true);
+    const GraphShard& shard = *sg.shards[0];
+    ByteWriter w;
+    shard.serialize(w);
+    const std::vector<std::uint8_t> good = w.bytes();
+    // Walk the layout to the two fields the corruptions overwrite.
+    ByteReader walk(good);
+    const auto offset = [&] { return good.size() - walk.remaining(); };
+    (void)walk.read<std::uint8_t>();
+    (void)walk.read<std::int32_t>();
+    const std::size_t indptr1 = offset() + 2 * sizeof(std::uint64_t);
+    (void)walk.read_vec<EdgeIndex>();
+    (void)walk.read_vec<NodeId>();
+    (void)walk.read_vec<float>();
+    (void)walk.read_vec<NodeId>();
+    (void)walk.read_vec<ShardId>();
+    (void)walk.read_vec<float>();
+    (void)walk.read_vec<float>();
+    (void)walk.read_vec<NodeId>();
+    ASSERT_EQ(walk.read<std::uint8_t>(), 1) << "halo cache shipped";
+    const auto halo_rows = walk.read<std::uint64_t>();
+    ASSERT_GT(halo_rows, 0u);
+    const std::size_t first_halo_row = offset() + sizeof(std::uint64_t);
+
+    const auto decode_with = [&](std::size_t at, auto value) {
+      std::vector<std::uint8_t> bad = good;
+      std::memcpy(bad.data() + at, &value, sizeof(value));
+      ByteReader r(bad);
+      return GraphShard::deserialize(r);
+    };
+    ASSERT_EQ(decode_with(indptr1, static_cast<EdgeIndex>(
+                                       shard.vertex_prop(0).degree()))
+                  ->num_stored_edges(),
+              shard.num_stored_edges());  // the walk found indptr[1]
+    EXPECT_THROW(
+        (void)decode_with(indptr1, shard.num_stored_edges() + 100000),
+        InvalidArgument);
+    EXPECT_THROW((void)decode_with(indptr1, EdgeIndex{-5}), InvalidArgument);
+    EXPECT_THROW((void)decode_with(first_halo_row, std::uint32_t{1000000}),
+                 InvalidArgument);
   }
 }
 

@@ -48,14 +48,21 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       echo "=== ${SANITIZER}: hybrid_kernel_test (GE_FORCE_SCALAR off/on) ==="
       "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
       GE_FORCE_SCALAR=1 "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
-      # Versioned storage plane: run the concurrent mutate+query case
-      # alone under TSan — a mutator thread lands batches and compacts
-      # mid-stream while pinned snapshot reads race the generation swaps
-      # (DESIGN.md §15's Copy→Publish→Retire is only correct if those
-      # never tear).
-      echo "=== ${SANITIZER}: mutation_test concurrent mutate+query ==="
-      "${BUILD}/tests/mutation_test" \
-          --gtest_filter='*ConcurrentMutateAndQuery*' --gtest_brief=1
+      # Versioned storage plane: run the whole mutation suite alone under
+      # TSan. Every case goes through the shared coordinator
+      # (Machine::apply_mutations), whose local legs apply on the
+      # caller's thread while storage-server threads read, and the
+      # concurrent mutate+query case races pinned snapshot reads against
+      # generation swaps (DESIGN.md §15's Copy→Publish→Retire is only
+      # correct if those never tear).
+      echo "=== ${SANITIZER}: ctest -L mutation (versioned storage) ==="
+      ctest --test-dir "${BUILD}" -L mutation --output-on-failure
+      # The loopback TCP echo suites: many client threads write
+      # concurrently on one link, so frames must never interleave and
+      # replies must never cross between callers. Repeat them alone.
+      echo "=== ${SANITIZER}: rpc_test TCP loopback suites x10 ==="
+      "${BUILD}/tests/rpc_test" --gtest_filter='TcpTransportLoopback.*' \
+          --gtest_repeat=10 --gtest_brief=1
       # Work-conserving dispatch: the dispatcher's hold ends on a wake-up
       # that executor threads send when a batch finishes, and queue wait
       # ends on the executor thread. These cases are the timing-sensitive
