@@ -5,12 +5,15 @@
 //     +Compress mechanism)
 //   * sharded-map locked upsert vs lock-free partitioned bulk apply
 //   * activated-set retrieval: set drain vs dense scan (the pop cost)
+//   * pinned reads of a mutated shard vs its pending delta segments
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "concurrent/sharded_map.hpp"
+#include "engine/cluster.hpp"
 #include "engine/ssppr_driver.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
@@ -214,6 +217,75 @@ void BM_PopDenseScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PopDenseScan)->Arg(20'000)->Arg(400'000);
+
+/// A 4-machine cluster on a 20k-node clustered graph (perfbench's shape)
+/// whose shard 0 holds `segments` pending delta segments: 64-op batches
+/// from mutation_stream are applied, never compacted, until that many
+/// of them touched shard 0.
+Cluster& mutated_cluster(std::int64_t segments) {
+  static const Graph g = generate_clustered(20000, 20, 180000, 20000, 1.6,
+                                            0x9e3779b97f4a7c15ULL + 11);
+  static const PartitionAssignment assignment = partition_multilevel(g, 4);
+  static std::map<std::int64_t, std::unique_ptr<Cluster>> clusters;
+  auto& cluster = clusters[segments];
+  if (cluster) return *cluster;
+  ClusterOptions opts;
+  opts.num_machines = 4;
+  opts.network = no_network_cost();
+  cluster = std::make_unique<Cluster>(g, assignment, opts);
+  const auto stream = mutation_stream(
+      g, static_cast<int>(2 * segments + 8), 64, 0.7, 7);
+  std::int64_t applied = 0;
+  for (const auto& batch : stream) {
+    if (applied == segments) break;
+    cluster->apply_edge_mutations(batch);
+    for (const EdgeMutationOp& op : batch) {
+      if (cluster->locate(op.u).shard == 0 ||
+          cluster->locate(op.v).shard == 0) {
+        ++applied;
+        break;
+      }
+    }
+  }
+  GE_REQUIRE(applied == segments, "mutation stream too short");
+  return *cluster;
+}
+
+/// One own-shard read of a mutated shard: pin a snapshot of shard 0 at
+/// the newest version, then read 350 random core rows through
+/// get_neighbor_infos (encode = 0, the fetch pipeline's own-shard path)
+/// or CSR-encode 140 of them (encode = 1, the storage service's fetch
+/// handler). `per_row` is the time per row read.
+void BM_VersionedSnapshotRead(benchmark::State& state) {
+  Cluster& cluster = mutated_cluster(state.range(0));
+  const bool encode = state.range(1) != 0;
+  const auto store = cluster.store(0);
+  const NodeId core = cluster.shard(0).num_core_nodes();
+  Rng rng(11);
+  std::vector<NodeId> rows(encode ? 140 : 350);
+  for (NodeId& l : rows) {
+    l = static_cast<NodeId>(rng.next_u64(static_cast<std::uint64_t>(core)));
+  }
+  for (auto _ : state) {
+    const auto snap = store->snapshot();
+    if (encode) {
+      ByteWriter w;
+      snap->encode_neighbor_infos_csr(rows, w);
+      benchmark::DoNotOptimize(w.size());
+    } else {
+      const auto infos = snap->get_neighbor_infos(rows);
+      benchmark::DoNotOptimize(infos.data());
+    }
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_VersionedSnapshotRead)
+    ->ArgNames({"segments", "encode"})
+    ->ArgsProduct({{0, 20, 40, 80}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ppr

@@ -119,8 +119,7 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
   // States are disjoint, so the fan-out over queries may run in parallel.
   const int qt =
       std::max(1, std::min(options.query_threads, static_cast<int>(nq)));
-  const auto fan_out = [&](const auto& push_query) {
-    ScopedPhase phase(t, Phase::kPush);
+  const auto push_all = [&](const auto& push_query) {
     if (qt > 1) {
 #ifdef _OPENMP
 #pragma omp parallel for num_threads(qt) schedule(dynamic)
@@ -132,16 +131,25 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     }
     for (std::size_t q = 0; q < nq; ++q) push_query(q);
   };
+  double push_us = 0;  // this round's two fan-outs
+  const auto fan_out = [&](const auto& push_query) {
+    ScopedPhase phase(t, Phase::kPush);
+    WallTimer wall;
+    push_all(push_query);
+    push_us += wall.micros();
+  };
 
   for (;;) {
     // --- Pop every query's frontier; stop once all are exhausted. ------
     bool any_active = false;
     {
       ScopedPhase phase(t, Phase::kPop);
+      WallTimer wall;
       for (std::size_t q = 0; q < nq; ++q) {
         states[q].pop(scratch.node_ids[q], scratch.shard_ids[q]);
         if (!scratch.node_ids[q].empty()) any_active = true;
       }
+      pipeline_phase_histogram(Phase::kPop).record(wall.micros());
     }
     if (!any_active) break;
     ++stats.num_iterations;
@@ -176,8 +184,10 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     // splits, at most one RPC per remote shard, and the own-shard and
     // halo pushes while responses are in flight; the fetched rows push
     // once they arrived.
+    push_us = 0;
     pipeline.execute(plan, &t, [&] { fan_out(push_resident); });
     fan_out(push_fetched);
+    pipeline_phase_histogram(Phase::kPush).record(push_us);
   }
 
   for (const SspprState& s : states) stats.num_pushes += s.num_pushes();

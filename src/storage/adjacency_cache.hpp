@@ -12,6 +12,7 @@
 // is still pushing from.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -87,17 +88,63 @@ class CachedRowArena {
                          std::span<const float> weights,
                          std::span<const float> nbr_wdeg,
                          std::span<const NodeId> globals, float src_wdeg) {
+    open_row(VertexProp{locals, shards, weights, nbr_wdeg, globals, src_wdeg});
+    return close_row(src_wdeg);
+  }
+
+  /// In-place row building (the versioned store's merged rows): open a
+  /// row holding `base`, edit it with erase_edge()/push_edge(), then
+  /// close_row() — or discard_open_row() to drop it. row() views are not
+  /// taken while a row is open.
+  void open_row(const VertexProp& base) {
     if (indptr_.empty()) indptr_.push_back(0);
-    nbr_local_ids_.insert(nbr_local_ids_.end(), locals.begin(), locals.end());
-    nbr_shard_ids_.insert(nbr_shard_ids_.end(), shards.begin(), shards.end());
-    edge_weights_.insert(edge_weights_.end(), weights.begin(), weights.end());
-    nbr_weighted_deg_.insert(nbr_weighted_deg_.end(), nbr_wdeg.begin(),
-                             nbr_wdeg.end());
-    nbr_global_ids_.insert(nbr_global_ids_.end(), globals.begin(),
-                           globals.end());
+    nbr_local_ids_.insert(nbr_local_ids_.end(), base.nbr_local_ids.begin(),
+                          base.nbr_local_ids.end());
+    nbr_shard_ids_.insert(nbr_shard_ids_.end(), base.nbr_shard_ids.begin(),
+                          base.nbr_shard_ids.end());
+    edge_weights_.insert(edge_weights_.end(), base.edge_weights.begin(),
+                         base.edge_weights.end());
+    nbr_weighted_deg_.insert(nbr_weighted_deg_.end(),
+                             base.nbr_weighted_degrees.begin(),
+                             base.nbr_weighted_degrees.end());
+    nbr_global_ids_.insert(nbr_global_ids_.end(), base.nbr_global_ids.begin(),
+                           base.nbr_global_ids.end());
+  }
+  /// Erase the open row's first edge to `nbr_global`; its weight lands in
+  /// `weight`. False when the open row has no such edge.
+  bool erase_edge(NodeId nbr_global, float& weight) {
+    const auto lo = nbr_global_ids_.begin() + indptr_.back();
+    const auto it = std::find(lo, nbr_global_ids_.end(), nbr_global);
+    if (it == nbr_global_ids_.end()) return false;
+    const auto k = it - nbr_global_ids_.begin();
+    weight = edge_weights_[static_cast<std::size_t>(k)];
+    nbr_local_ids_.erase(nbr_local_ids_.begin() + k);
+    nbr_shard_ids_.erase(nbr_shard_ids_.begin() + k);
+    edge_weights_.erase(edge_weights_.begin() + k);
+    nbr_weighted_deg_.erase(nbr_weighted_deg_.begin() + k);
+    nbr_global_ids_.erase(it);
+    return true;
+  }
+  void push_edge(NodeId local, ShardId shard, float weight, float nbr_wdeg,
+                 NodeId global) {
+    nbr_local_ids_.push_back(local);
+    nbr_shard_ids_.push_back(shard);
+    edge_weights_.push_back(weight);
+    nbr_weighted_deg_.push_back(nbr_wdeg);
+    nbr_global_ids_.push_back(global);
+  }
+  std::size_t close_row(float src_wdeg) {
     indptr_.push_back(static_cast<EdgeIndex>(nbr_local_ids_.size()));
     src_weighted_deg_.push_back(src_wdeg);
     return src_weighted_deg_.size() - 1;
+  }
+  void discard_open_row() {
+    const auto lo = static_cast<std::size_t>(indptr_.back());
+    nbr_local_ids_.resize(lo);
+    nbr_shard_ids_.resize(lo);
+    edge_weights_.resize(lo);
+    nbr_weighted_deg_.resize(lo);
+    nbr_global_ids_.resize(lo);
   }
 
   VertexProp row(std::size_t i) const {

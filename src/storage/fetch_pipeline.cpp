@@ -4,21 +4,18 @@
 
 namespace ppr {
 
-namespace {
-/// Registry histograms of per-execute() phase wall time, one per Phase
-/// label — the registered-instrument form of the PhaseTimers breakdown.
-/// (Magic-static init keeps concurrent first calls race-free.)
-obs::Histogram& phase_histogram(Phase p) {
+obs::Histogram& pipeline_phase_histogram(Phase phase) {
+  // Magic-static init keeps concurrent first calls race-free.
   static const auto make = [](Phase ph) {
     return &obs::MetricRegistry::global().histogram(
         "pipeline.phase_us", {{"phase", phase_name(ph)}});
   };
-  static obs::Histogram* const hists[kNumPhases] = {
+  static obs::Histogram* const hists[] = {
       make(Phase::kPop), make(Phase::kLocalFetch), make(Phase::kRemoteFetch),
-      make(Phase::kPush), make(Phase::kOther)};
-  return *hists[static_cast<int>(p)];
+      make(Phase::kPush)};
+  GE_CHECK(phase != Phase::kOther, "no batched path has the other phase");
+  return *hists[static_cast<int>(phase)];
 }
-}  // namespace
 
 FetchPipeline::FetchPipeline(const DistGraphStorage& storage,
                              std::uint64_t graph_version)
@@ -190,7 +187,7 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
                                            std::memory_order_relaxed);
     sources_[self].assign(resolved_[self].size(), RowSource::kLocal);
     stats_.rows_local += resolved_[self].size();
-    phase_histogram(Phase::kLocalFetch).record(wall.micros());
+    pipeline_phase_histogram(Phase::kLocalFetch).record(wall.micros());
   }
 
   // --- Overlap hook: caller's local work runs while responses fly. ------
@@ -211,7 +208,7 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
       resolved_[j][fetch_rows_[j][m]] = batches_[j][m];
     }
   }
-  phase_histogram(Phase::kRemoteFetch).record(remote_us);
+  pipeline_phase_histogram(Phase::kRemoteFetch).record(remote_us);
 }
 
 }  // namespace ppr

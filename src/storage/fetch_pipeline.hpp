@@ -106,6 +106,11 @@ struct FetchPipelineStats {
   std::vector<obs::Registration> regs_;
 };
 
+/// `pipeline.phase_us{phase=...}`: wall time of one resolution round per
+/// phase — local_fetch and remote_fetch recorded by FetchPipeline::execute,
+/// pop and push by the batch driver. Phase::kOther has no series.
+obs::Histogram& pipeline_phase_histogram(Phase phase);
+
 /// Round-recycled resolution engine bound to one DistGraphStorage (one
 /// computing process). Not thread-safe: each driver owns its own pipeline,
 /// like the scratch structs it replaces. All scratch keeps its capacity

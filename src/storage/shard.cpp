@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "concurrent/flat_map.hpp"
 
 namespace ppr {
 
@@ -24,6 +25,24 @@ GlobalMapping::GlobalMapping(const PartitionAssignment& assignment,
         static_cast<NodeId>(v));
   }
 }
+
+struct GraphShard::HaloRows {
+  FlatMap<std::uint32_t> row_of;
+  std::vector<EdgeIndex> indptr;
+  std::vector<float> weighted_deg;
+  std::vector<NodeId> nbr_local_ids;
+  std::vector<ShardId> nbr_shard_ids;
+  std::vector<float> edge_weights;
+  std::vector<float> nbr_weighted_deg;
+  std::vector<NodeId> nbr_global_ids;
+
+  std::size_t memory_bytes() const {
+    return indptr.size() * sizeof(EdgeIndex) +
+           weighted_deg.size() * sizeof(float) +
+           nbr_local_ids.size() * (3 * sizeof(NodeId) + 2 * sizeof(float)) +
+           row_of.capacity() * (sizeof(std::uint64_t) + sizeof(int));
+  }
+};
 
 GraphShard::GraphShard(const Graph& g, const GlobalMapping& mapping,
                        ShardId shard_id, bool cache_halo_adjacency)
@@ -64,48 +83,52 @@ GraphShard::GraphShard(const Graph& g, const GlobalMapping& mapping,
   }
 
   if (!cache_halo_adjacency) return;
-  halo_cache_enabled_ = true;
   // Collect the 1-hop halo set (foreign endpoints of core rows) and copy
   // each halo node's full neighbor row so first-hop remote fetches of
   // queries rooted here can be served from shared memory.
-  halo_indptr_.push_back(0);
+  auto halo = std::make_shared<HaloRows>();
+  halo->indptr.push_back(0);
   for (std::size_t e = 0; e < nbr_local_ids_.size(); ++e) {
     if (nbr_shard_ids_[e] == shard_id_) continue;
     const NodeRef ref{nbr_local_ids_[e], nbr_shard_ids_[e]};
-    if (halo_row_of_.contains(ref.key())) continue;
-    halo_row_of_[ref.key()] =
-        static_cast<std::uint32_t>(halo_indptr_.size() - 1);
+    if (halo->row_of.contains(ref.key())) continue;
+    halo->row_of[ref.key()] =
+        static_cast<std::uint32_t>(halo->indptr.size() - 1);
     const NodeId hv = mapping.to_global(ref);
-    halo_weighted_deg_.push_back(g.weighted_degree(hv));
+    halo->weighted_deg.push_back(g.weighted_degree(hv));
     const auto hnbrs = g.neighbors(hv);
     const auto hws = g.edge_weights(hv);
     for (std::size_t k = 0; k < hnbrs.size(); ++k) {
       const NodeRef href = mapping.to_ref(hnbrs[k]);
-      halo_nbr_local_ids_.push_back(href.local);
-      halo_nbr_shard_ids_.push_back(href.shard);
-      halo_edge_weights_.push_back(hws[k]);
-      halo_nbr_weighted_deg_.push_back(g.weighted_degree(hnbrs[k]));
-      halo_nbr_global_ids_.push_back(hnbrs[k]);
+      halo->nbr_local_ids.push_back(href.local);
+      halo->nbr_shard_ids.push_back(href.shard);
+      halo->edge_weights.push_back(hws[k]);
+      halo->nbr_weighted_deg.push_back(g.weighted_degree(hnbrs[k]));
+      halo->nbr_global_ids.push_back(hnbrs[k]);
     }
-    halo_indptr_.push_back(
-        static_cast<EdgeIndex>(halo_nbr_local_ids_.size()));
+    halo->indptr.push_back(static_cast<EdgeIndex>(halo->nbr_local_ids.size()));
   }
+  halo_ = std::move(halo);
+}
+
+NodeId GraphShard::num_halo_rows() const {
+  return halo_ ? static_cast<NodeId>(halo_->row_of.size()) : 0;
 }
 
 std::optional<VertexProp> GraphShard::halo_vertex_prop(NodeRef ref) const {
-  if (!halo_cache_enabled_) return std::nullopt;
-  const std::uint32_t* row = halo_row_of_.find(ref.key());
+  if (!halo_) return std::nullopt;
+  const HaloRows& h = *halo_;
+  const std::uint32_t* row = h.row_of.find(ref.key());
   if (row == nullptr) return std::nullopt;
-  const auto lo = static_cast<std::size_t>(halo_indptr_[*row]);
-  const auto hi = static_cast<std::size_t>(halo_indptr_[*row + 1]);
+  const auto lo = static_cast<std::size_t>(h.indptr[*row]);
+  const auto hi = static_cast<std::size_t>(h.indptr[*row + 1]);
   return VertexProp{
-      {halo_nbr_local_ids_.data() + lo, halo_nbr_local_ids_.data() + hi},
-      {halo_nbr_shard_ids_.data() + lo, halo_nbr_shard_ids_.data() + hi},
-      {halo_edge_weights_.data() + lo, halo_edge_weights_.data() + hi},
-      {halo_nbr_weighted_deg_.data() + lo,
-       halo_nbr_weighted_deg_.data() + hi},
-      {halo_nbr_global_ids_.data() + lo, halo_nbr_global_ids_.data() + hi},
-      halo_weighted_deg_[*row]};
+      {h.nbr_local_ids.data() + lo, h.nbr_local_ids.data() + hi},
+      {h.nbr_shard_ids.data() + lo, h.nbr_shard_ids.data() + hi},
+      {h.edge_weights.data() + lo, h.edge_weights.data() + hi},
+      {h.nbr_weighted_deg.data() + lo, h.nbr_weighted_deg.data() + hi},
+      {h.nbr_global_ids.data() + lo, h.nbr_global_ids.data() + hi},
+      h.weighted_deg[*row]};
 }
 
 VertexProp GraphShard::vertex_prop(NodeId local) const {
@@ -381,11 +404,7 @@ std::size_t GraphShard::memory_bytes() const {
          edge_weights_.size() * sizeof(float) +
          nbr_weighted_deg_.size() * sizeof(float) +
          nbr_global_ids_.size() * sizeof(NodeId) +
-         halo_indptr_.size() * sizeof(EdgeIndex) +
-         halo_weighted_deg_.size() * sizeof(float) +
-         halo_nbr_local_ids_.size() *
-             (3 * sizeof(NodeId) + 2 * sizeof(float)) +
-         halo_row_of_.capacity() * (sizeof(std::uint64_t) + sizeof(int));
+         (halo_ ? halo_->memory_bytes() : 0);
 }
 
 void GraphShard::serialize(ByteWriter& w) const {
@@ -399,13 +418,14 @@ void GraphShard::serialize(ByteWriter& w) const {
   w.write_vec(edge_weights_);
   w.write_vec(nbr_weighted_deg_);
   w.write_vec(nbr_global_ids_);
-  w.write<std::uint8_t>(halo_cache_enabled_ ? 1 : 0);
-  if (!halo_cache_enabled_) return;
+  w.write<std::uint8_t>(halo_ ? 1 : 0);
+  if (!halo_) return;
+  const HaloRows& h = *halo_;
   // The FlatMap ships as (key, row) pairs ordered by row so the encoding
   // is deterministic regardless of the table's probe layout.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-  entries.reserve(halo_row_of_.size());
-  halo_row_of_.for_each([&](std::uint64_t key, const std::uint32_t& row) {
+  entries.reserve(h.row_of.size());
+  h.row_of.for_each([&](std::uint64_t key, const std::uint32_t& row) {
     entries.emplace_back(key, row);
   });
   std::sort(entries.begin(), entries.end(),
@@ -415,13 +435,13 @@ void GraphShard::serialize(ByteWriter& w) const {
     w.write<std::uint64_t>(key);
     w.write<std::uint32_t>(row);
   }
-  w.write_vec(halo_indptr_);
-  w.write_vec(halo_weighted_deg_);
-  w.write_vec(halo_nbr_local_ids_);
-  w.write_vec(halo_nbr_shard_ids_);
-  w.write_vec(halo_edge_weights_);
-  w.write_vec(halo_nbr_weighted_deg_);
-  w.write_vec(halo_nbr_global_ids_);
+  w.write_vec(h.indptr);
+  w.write_vec(h.weighted_deg);
+  w.write_vec(h.nbr_local_ids);
+  w.write_vec(h.nbr_shard_ids);
+  w.write_vec(h.edge_weights);
+  w.write_vec(h.nbr_weighted_deg);
+  w.write_vec(h.nbr_global_ids);
 }
 
 namespace {
@@ -464,38 +484,38 @@ std::shared_ptr<GraphShard> GraphShard::deserialize(ByteReader& r) {
                  shard->nbr_weighted_deg_.size() == edges &&
                  shard->nbr_global_ids_.size() == edges,
              "snapshot edge arrays disagree on edge count");
-  shard->halo_cache_enabled_ = r.read<std::uint8_t>() != 0;
-  if (!shard->halo_cache_enabled_) return shard;
+  if (r.read<std::uint8_t>() == 0) return shard;
+  auto halo = std::make_shared<HaloRows>();
   const auto num_halo = r.read<std::uint64_t>();
   // Each halo entry owes 12 bytes, so a hostile count cannot force a huge
   // table past the frame.
   GE_REQUIRE(num_halo <= r.remaining() / 12,
              "snapshot halo row count exceeds frame");
-  shard->halo_row_of_ =
-      FlatMap<std::uint32_t>(static_cast<std::size_t>(num_halo) * 2);
+  halo->row_of = FlatMap<std::uint32_t>(static_cast<std::size_t>(num_halo) * 2);
   for (std::uint64_t i = 0; i < num_halo; ++i) {
     const auto key = r.read<std::uint64_t>();
     const auto row = r.read<std::uint32_t>();
     GE_REQUIRE(row < num_halo, "snapshot halo row index out of range");
-    shard->halo_row_of_[key] = row;
+    halo->row_of[key] = row;
   }
-  shard->halo_indptr_ = r.read_vec<EdgeIndex>();
-  shard->halo_weighted_deg_ = r.read_vec<float>();
-  shard->halo_nbr_local_ids_ = r.read_vec<NodeId>();
-  shard->halo_nbr_shard_ids_ = r.read_vec<ShardId>();
-  shard->halo_edge_weights_ = r.read_vec<float>();
-  shard->halo_nbr_weighted_deg_ = r.read_vec<float>();
-  shard->halo_nbr_global_ids_ = r.read_vec<NodeId>();
-  GE_REQUIRE(shard->halo_indptr_.size() == num_halo + 1,
+  halo->indptr = r.read_vec<EdgeIndex>();
+  halo->weighted_deg = r.read_vec<float>();
+  halo->nbr_local_ids = r.read_vec<NodeId>();
+  halo->nbr_shard_ids = r.read_vec<ShardId>();
+  halo->edge_weights = r.read_vec<float>();
+  halo->nbr_weighted_deg = r.read_vec<float>();
+  halo->nbr_global_ids = r.read_vec<NodeId>();
+  GE_REQUIRE(halo->indptr.size() == num_halo + 1,
              "snapshot halo offsets disagree with halo row count");
-  const std::size_t halo_edges = shard->halo_nbr_local_ids_.size();
-  require_offsets(shard->halo_indptr_, halo_edges, "halo");
-  GE_REQUIRE(shard->halo_nbr_shard_ids_.size() == halo_edges &&
-                 shard->halo_edge_weights_.size() == halo_edges &&
-                 shard->halo_nbr_weighted_deg_.size() == halo_edges &&
-                 shard->halo_nbr_global_ids_.size() == halo_edges &&
-                 shard->halo_weighted_deg_.size() == num_halo,
+  const std::size_t halo_edges = halo->nbr_local_ids.size();
+  require_offsets(halo->indptr, halo_edges, "halo");
+  GE_REQUIRE(halo->nbr_shard_ids.size() == halo_edges &&
+                 halo->edge_weights.size() == halo_edges &&
+                 halo->nbr_weighted_deg.size() == halo_edges &&
+                 halo->nbr_global_ids.size() == halo_edges &&
+                 halo->weighted_deg.size() == num_halo,
              "snapshot halo arrays disagree on edge count");
+  shard->halo_ = std::move(halo);
   return shard;
 }
 

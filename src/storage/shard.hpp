@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/serialize.hpp"
-#include "concurrent/flat_map.hpp"
 #include "graph/graph.hpp"
 #include "partition/partitioner.hpp"
 
@@ -160,10 +159,8 @@ class GraphShard {
   GraphShard(const Graph& g, const GlobalMapping& mapping, ShardId shard_id,
              bool cache_halo_adjacency = false);
 
-  bool has_halo_cache() const { return halo_cache_enabled_; }
-  NodeId num_halo_rows() const {
-    return static_cast<NodeId>(halo_row_of_.size());
-  }
+  bool has_halo_cache() const { return halo_ != nullptr; }
+  NodeId num_halo_rows() const;
 
   /// Neighborhood view of a cached halo node, or nullopt if `ref` is not
   /// in this shard's halo cache. `ref` must belong to another shard.
@@ -267,16 +264,10 @@ class GraphShard {
   std::vector<NodeId> nbr_global_ids_;
 
   // Optional halo-adjacency cache: one CSR row per 1-hop halo node,
-  // indexed by packed NodeRef key.
-  bool halo_cache_enabled_ = false;
-  FlatMap<std::uint32_t> halo_row_of_;
-  std::vector<EdgeIndex> halo_indptr_;
-  std::vector<float> halo_weighted_deg_;
-  std::vector<NodeId> halo_nbr_local_ids_;
-  std::vector<ShardId> halo_nbr_shard_ids_;
-  std::vector<float> halo_edge_weights_;
-  std::vector<float> halo_nbr_weighted_deg_;
-  std::vector<NodeId> halo_nbr_global_ids_;
+  // indexed by packed NodeRef key. Immutable, so every base a versioned
+  // store compacts from this one shares it (null = no halo cache).
+  struct HaloRows;
+  std::shared_ptr<const HaloRows> halo_;
 };
 
 /// Encode an arbitrary row set (e.g. snapshot-merged base+delta rows) as a

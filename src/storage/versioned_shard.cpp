@@ -59,98 +59,147 @@ MutationBatch MutationBatch::decode(ByteReader& r) {
 // ---------------------------------------------------------------------------
 // DeltaSegment
 
-DeltaSegment::DeltaSegment(std::uint64_t version, MutationBatch batch)
-    : version_(version), batch_(std::move(batch)) {
-  for (std::size_t i = 0; i < batch_.inserts.size(); ++i) {
-    by_src_[batch_.inserts[i].src_local].inserts.push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t i = 0; i < batch_.deletes.size(); ++i) {
-    by_src_[batch_.deletes[i].src_local].deletes.push_back(
-        static_cast<std::uint32_t>(i));
+namespace {
+
+/// Group op indices by source row: `ptr[slot]..ptr[slot + 1]` delimits the
+/// ops of rows[slot] in `out`, in batch order (a stable counting sort).
+template <typename Op>
+void group_by_row(const std::vector<Op>& ops, std::span<const NodeId> rows,
+                  std::vector<std::uint32_t>& ptr,
+                  std::vector<std::uint32_t>& out) {
+  const auto slot_of = [&](NodeId src) {
+    return static_cast<std::size_t>(
+        std::lower_bound(rows.begin(), rows.end(), src) - rows.begin());
+  };
+  ptr.assign(rows.size() + 1, 0);
+  for (const Op& op : ops) ++ptr[slot_of(op.src_local) + 1];
+  for (std::size_t i = 0; i < rows.size(); ++i) ptr[i + 1] += ptr[i];
+  out.resize(ops.size());
+  std::vector<std::uint32_t> next(ptr.begin(), ptr.end() - 1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    out[next[slot_of(ops[i].src_local)]++] = static_cast<std::uint32_t>(i);
   }
 }
 
-const DeltaSegment::SrcOps* DeltaSegment::ops(NodeId src_local) const {
-  const auto it = by_src_.find(src_local);
-  return it == by_src_.end() ? nullptr : &it->second;
+}  // namespace
+
+DeltaSegment::DeltaSegment(std::uint64_t version, MutationBatch batch)
+    : version_(version), batch_(std::move(batch)) {
+  for (const EdgeInsert& e : batch_.inserts) rows_.push_back(e.src_local);
+  for (const EdgeDelete& e : batch_.deletes) rows_.push_back(e.src_local);
+  std::sort(rows_.begin(), rows_.end());
+  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+  group_by_row(batch_.deletes, rows_, delete_ptr_, delete_ops_);
+  group_by_row(batch_.inserts, rows_, insert_ptr_, insert_ops_);
+}
+
+std::span<const std::uint32_t> DeltaSegment::deletes_of(
+    std::size_t slot) const {
+  return {delete_ops_.data() + delete_ptr_[slot],
+          delete_ops_.data() + delete_ptr_[slot + 1]};
+}
+
+std::span<const std::uint32_t> DeltaSegment::inserts_of(
+    std::size_t slot) const {
+  return {insert_ops_.data() + insert_ptr_[slot],
+          insert_ops_.data() + insert_ptr_[slot + 1]};
+}
+
+// ---------------------------------------------------------------------------
+// DeltaLog
+
+DeltaLog::DeltaLog(NodeId num_rows,
+                   std::vector<std::shared_ptr<const DeltaSegment>> segments)
+    : segments_(std::move(segments)),
+      offsets_(static_cast<std::size_t>(num_rows) + 1, 0) {
+  // Counting sort by row; visiting segments in log order leaves every
+  // row's touches in ascending segment position.
+  for (const auto& seg : segments_) {
+    num_ops_ += seg->num_ops();
+    for (const NodeId row : seg->rows()) {
+      ++offsets_[static_cast<std::size_t>(row) + 1];
+    }
+  }
+  for (std::size_t r = 1; r < offsets_.size(); ++r) {
+    offsets_[r] += offsets_[r - 1];
+  }
+  touches_.resize(offsets_.back());
+  std::vector<std::uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t p = 0; p < segments_.size(); ++p) {
+    const auto rows = segments_[p]->rows();
+    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
+      touches_[next[static_cast<std::size_t>(rows[slot])]++] =
+          Touch{static_cast<std::uint32_t>(p),
+                static_cast<std::uint32_t>(slot)};
+    }
+  }
+}
+
+std::size_t DeltaLog::count_at(std::uint64_t version) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(segments_.begin(), segments_.end(), version,
+                       [](std::uint64_t v, const auto& seg) {
+                         return v < seg->version();
+                       }) -
+      segments_.begin());
 }
 
 // ---------------------------------------------------------------------------
 // ShardSnapshot
 
-ShardSnapshot::ShardSnapshot(
-    std::shared_ptr<const GraphShard> base,
-    std::vector<std::shared_ptr<const DeltaSegment>> segments,
-    std::uint64_t version, std::shared_ptr<void> pin)
+ShardSnapshot::ShardSnapshot(std::shared_ptr<const GraphShard> base,
+                             std::shared_ptr<const DeltaLog> log,
+                             std::uint64_t version, std::shared_ptr<void> pin)
     : base_(std::move(base)),
-      segments_(std::move(segments)),
+      log_(std::move(log)),
+      num_segments_(static_cast<std::uint32_t>(log_->count_at(version))),
       version_(version),
       pin_(std::move(pin)) {}
 
-bool ShardSnapshot::dirty(NodeId local) const {
-  for (const auto& seg : segments_) {
-    if (seg->touches(local)) return true;
-  }
-  return false;
-}
-
 std::size_t ShardSnapshot::merge_row(NodeId local) const {
-  const auto it = merged_row_of_.find(local);
-  if (it != merged_row_of_.end()) return it->second;
-
   const VertexProp b = base_->vertex_prop(local);
-  std::vector<NodeId> locals(b.nbr_local_ids.begin(), b.nbr_local_ids.end());
-  std::vector<ShardId> shards(b.nbr_shard_ids.begin(),
-                              b.nbr_shard_ids.end());
-  std::vector<float> weights(b.edge_weights.begin(), b.edge_weights.end());
-  std::vector<float> nbr_dw(b.nbr_weighted_degrees.begin(),
-                            b.nbr_weighted_degrees.end());
-  std::vector<NodeId> globals(b.nbr_global_ids.begin(),
-                              b.nbr_global_ids.end());
+  scratch_.open_row(b);
   // d_w evolves strictly left-to-right over the segment log, so a frozen
   // copy of the graph at this version (same base + same batches) computes
   // the bit-identical float — the property the equivalence tests pin.
   float dw = b.weighted_degree;
-
-  for (const auto& seg : segments_) {
-    const DeltaSegment::SrcOps* ops = seg->ops(local);
-    if (ops == nullptr) continue;
+  for (const DeltaLog::Touch t : log_->touches(local)) {
+    if (t.segment >= num_segments_) break;
+    const DeltaSegment& seg = *log_->segments()[t.segment];
     // Deletes before inserts within a segment: delete-then-reinsert at one
     // version behaves as written.
-    for (const std::uint32_t di : ops->deletes) {
-      const EdgeDelete& d = seg->batch().deletes[di];
-      bool found = false;
-      for (std::size_t k = 0; k < globals.size(); ++k) {
-        if (globals[k] != d.nbr_global) continue;
-        dw -= weights[k];
-        globals.erase(globals.begin() + static_cast<std::ptrdiff_t>(k));
-        locals.erase(locals.begin() + static_cast<std::ptrdiff_t>(k));
-        shards.erase(shards.begin() + static_cast<std::ptrdiff_t>(k));
-        weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(k));
-        nbr_dw.erase(nbr_dw.begin() + static_cast<std::ptrdiff_t>(k));
-        found = true;
-        break;
-      }
+    for (const std::uint32_t di : seg.deletes_of(t.slot)) {
+      const EdgeDelete& d = seg.batch().deletes[di];
+      float w = 0;
+      const bool found = scratch_.erase_edge(d.nbr_global, w);
+      if (!found) scratch_.discard_open_row();
       GE_REQUIRE(found, "delete of non-existent edge " +
                             std::to_string(local) + " -> global " +
                             std::to_string(d.nbr_global));
+      dw -= w;
     }
-    for (const std::uint32_t ii : ops->inserts) {
-      const EdgeInsert& ins = seg->batch().inserts[ii];
-      locals.push_back(ins.nbr_local);
-      shards.push_back(ins.nbr_shard);
-      weights.push_back(ins.weight);
-      nbr_dw.push_back(ins.nbr_weighted_deg);
-      globals.push_back(ins.nbr_global);
+    for (const std::uint32_t ii : seg.inserts_of(t.slot)) {
+      const EdgeInsert& ins = seg.batch().inserts[ii];
+      scratch_.push_edge(ins.nbr_local, ins.nbr_shard, ins.weight,
+                         ins.nbr_weighted_deg, ins.nbr_global);
       dw += ins.weight;
     }
   }
+  return scratch_.close_row(dw);
+}
 
-  const std::size_t row =
-      scratch_.append_row(locals, shards, weights, nbr_dw, globals, dw);
-  merged_row_of_.emplace(local, row);
-  return row;
+template <typename Fn>
+void ShardSnapshot::for_each_row(std::span<const NodeId> locals,
+                                 Fn&& fn) const {
+  constexpr std::size_t kClean = ~std::size_t{0};
+  row_slots_.resize(locals.size());
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    row_slots_[i] = dirty(locals[i]) ? merge_row(locals[i]) : kClean;
+  }
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    fn(i, row_slots_[i] == kClean ? base_->vertex_prop(locals[i])
+                                  : scratch_.row(row_slots_[i]));
+  }
 }
 
 float ShardSnapshot::weighted_degree(NodeId local) const {
@@ -168,19 +217,21 @@ VertexProp ShardSnapshot::vertex_prop(NodeId local) const {
 std::vector<VertexProp> ShardSnapshot::get_neighbor_infos(
     std::span<const NodeId> locals) const {
   if (clean()) return base_->get_neighbor_infos(locals);
-  // Merge every dirty row first: arena appends invalidate earlier views,
-  // so views materialize only once the arena is stable.
-  for (const NodeId l : locals) {
-    if (dirty(l)) (void)merge_row(l);
-  }
   std::vector<VertexProp> props;
   props.reserve(locals.size());
-  for (const NodeId l : locals) {
-    props.push_back(dirty(l) ? scratch_.row(merged_row_of_.at(l))
-                             : base_->vertex_prop(l));
-  }
+  for_each_row(locals,
+               [&](std::size_t, const VertexProp& p) { props.push_back(p); });
   return props;
 }
+
+namespace {
+RowPtrs row_ptrs_of(const VertexProp& p) {
+  return RowPtrs{p.nbr_local_ids.data(),        p.nbr_shard_ids.data(),
+                 p.edge_weights.data(),         p.nbr_weighted_degrees.data(),
+                 p.nbr_global_ids.data(),       p.degree(),
+                 p.weighted_degree};
+}
+}  // namespace
 
 void ShardSnapshot::encode_neighbor_infos_csr(std::span<const NodeId> locals,
                                               ByteWriter& w,
@@ -190,20 +241,11 @@ void ShardSnapshot::encode_neighbor_infos_csr(std::span<const NodeId> locals,
     base_->encode_neighbor_infos_csr(locals, w, options);
     return;
   }
-  for (const NodeId l : locals) {
-    if (dirty(l)) (void)merge_row(l);
-  }
   std::vector<RowPtrs> rows;
   rows.reserve(locals.size());
-  for (const NodeId l : locals) {
-    const VertexProp p = dirty(l) ? scratch_.row(merged_row_of_.at(l))
-                                  : base_->vertex_prop(l);
-    rows.push_back(RowPtrs{p.nbr_local_ids.data(), p.nbr_shard_ids.data(),
-                           p.edge_weights.data(),
-                           p.nbr_weighted_degrees.data(),
-                           p.nbr_global_ids.data(), p.degree(),
-                           p.weighted_degree});
-  }
+  for_each_row(locals, [&](std::size_t, const VertexProp& p) {
+    rows.push_back(row_ptrs_of(p));
+  });
   encode_rows_csr(rows, w, options);
 }
 
@@ -213,20 +255,11 @@ void ShardSnapshot::encode_neighbor_infos_tensor_list(
     base_->encode_neighbor_infos_tensor_list(locals, w);
     return;
   }
-  for (const NodeId l : locals) {
-    if (dirty(l)) (void)merge_row(l);
-  }
   std::vector<RowPtrs> rows;
   rows.reserve(locals.size());
-  for (const NodeId l : locals) {
-    const VertexProp p = dirty(l) ? scratch_.row(merged_row_of_.at(l))
-                                  : base_->vertex_prop(l);
-    rows.push_back(RowPtrs{p.nbr_local_ids.data(), p.nbr_shard_ids.data(),
-                           p.edge_weights.data(),
-                           p.nbr_weighted_degrees.data(),
-                           p.nbr_global_ids.data(), p.degree(),
-                           p.weighted_degree});
-  }
+  for_each_row(locals, [&](std::size_t, const VertexProp& p) {
+    rows.push_back(row_ptrs_of(p));
+  });
   encode_rows_tensor_list(rows, w);
 }
 
@@ -241,24 +274,18 @@ void ShardSnapshot::sample_one_neighbor(std::span<const NodeId> locals,
                                out_global);
     return;
   }
-  for (const NodeId l : locals) {
-    if (dirty(l)) (void)merge_row(l);
-  }
   // Same draw sequence as GraphShard::sample_one_neighbor: degree-0 rows
   // consume no draw, every other row consumes exactly one next_float.
   Rng rng(seed);
   out_local.resize(locals.size());
   out_shard.resize(locals.size());
   out_global.resize(locals.size());
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const VertexProp prop = dirty(locals[i])
-                                ? scratch_.row(merged_row_of_.at(locals[i]))
-                                : base_->vertex_prop(locals[i]);
+  for_each_row(locals, [&](std::size_t i, const VertexProp& prop) {
     if (prop.degree() == 0) {
       out_local[i] = locals[i];
       out_shard[i] = shard_id();
       out_global[i] = base_->core_global_id(locals[i]);
-      continue;
+      return;
     }
     const float target = rng.next_float(0.0f, prop.weighted_degree);
     float acc = 0;
@@ -273,7 +300,7 @@ void ShardSnapshot::sample_one_neighbor(std::span<const NodeId> locals,
     out_local[i] = prop.nbr_local_ids[pick];
     out_shard[i] = prop.nbr_shard_ids[pick];
     out_global[i] = prop.nbr_global_ids[pick];
-  }
+  });
 }
 
 void ShardSnapshot::sample_k_neighbors(std::span<const NodeId> locals, int k,
@@ -289,18 +316,13 @@ void ShardSnapshot::sample_k_neighbors(std::span<const NodeId> locals, int k,
     return;
   }
   GE_REQUIRE(k >= 1, "k must be positive");
-  for (const NodeId l : locals) {
-    if (dirty(l)) (void)merge_row(l);
-  }
   Rng rng(seed);
   out_indptr.assign(1, 0);
   out_local.clear();
   out_shard.clear();
   out_global.clear();
   std::vector<std::size_t> picks;
-  for (const NodeId l : locals) {
-    const VertexProp prop = dirty(l) ? scratch_.row(merged_row_of_.at(l))
-                                     : base_->vertex_prop(l);
+  for_each_row(locals, [&](std::size_t, const VertexProp& prop) {
     const std::size_t deg = prop.degree();
     const std::size_t take =
         std::min<std::size_t>(deg, static_cast<std::size_t>(k));
@@ -318,13 +340,10 @@ void ShardSnapshot::sample_k_neighbors(std::span<const NodeId> locals, int k,
       out_global.push_back(prop.nbr_global_ids[e]);
     }
     out_indptr.push_back(static_cast<EdgeIndex>(out_local.size()));
-  }
+  });
 }
 
-void ShardSnapshot::reset_scratch() const {
-  scratch_.clear();
-  merged_row_of_.clear();
-}
+void ShardSnapshot::reset_scratch() const { scratch_.clear(); }
 
 // ---------------------------------------------------------------------------
 // VersionedShardStore
@@ -342,6 +361,9 @@ struct VersionedShardStore::PinState {
 VersionedShardStore::VersionedShardStore(
     std::shared_ptr<const GraphShard> base, std::uint64_t base_version) {
   GE_REQUIRE(base != nullptr, "versioned store needs a base shard");
+  current_.log = std::make_shared<const DeltaLog>(
+      base->num_core_nodes(),
+      std::vector<std::shared_ptr<const DeltaSegment>>{});
   current_.base = std::move(base);
   current_.floor = base_version;
   latest_ = base_version;
@@ -390,11 +412,6 @@ std::uint64_t VersionedShardStore::compactions() const {
   return compactions_.load();
 }
 
-void VersionedShardStore::refresh_delta_gauge_locked() {
-  std::uint64_t ops = 0;
-  for (const auto& seg : current_.segments) ops += seg->num_ops();
-  delta_edges_.set(static_cast<std::int64_t>(ops));
-}
 
 void VersionedShardStore::apply(std::uint64_t version, MutationBatch batch) {
   obs::ScopedSpan span("storage.mutate");
@@ -418,10 +435,13 @@ void VersionedShardStore::apply(std::uint64_t version, MutationBatch batch) {
     GE_REQUIRE(e.src_local >= 0 && e.src_local < n,
                "edge delete source out of range");
   }
-  current_.segments.push_back(std::move(seg));
+  // Copy-on-write: snapshots already taken keep the log they pinned.
+  auto segments = current_.log->segments();
+  segments.push_back(std::move(seg));
+  current_.log = std::make_shared<const DeltaLog>(n, std::move(segments));
   latest_ = version;
   if (first_mutation_ == 0) first_mutation_ = version;
-  refresh_delta_gauge_locked();
+  delta_edges_.set(static_cast<std::int64_t>(current_.log->num_ops()));
 }
 
 std::shared_ptr<const ShardSnapshot> VersionedShardStore::snapshot(
@@ -453,18 +473,14 @@ std::shared_ptr<const ShardSnapshot> VersionedShardStore::snapshot_locked(
                                                     ? current_.floor
                                                     : retired_.front().floor) +
                                  ")");
-  std::vector<std::shared_ptr<const DeltaSegment>> segs;
-  for (const auto& seg : gen->segments) {
-    if (seg->version() <= v) segs.push_back(seg);
-  }
   pins_->pins.add(1);
   auto st = pins_;
   std::shared_ptr<void> token(new int(0), [st](void* p) {
     delete static_cast<int*>(p);
     st->pins.add(-1);
   });
-  return std::shared_ptr<const ShardSnapshot>(new ShardSnapshot(
-      gen->base, std::move(segs), v, std::move(token)));
+  return std::shared_ptr<const ShardSnapshot>(
+      new ShardSnapshot(gen->base, gen->log, v, std::move(token)));
 }
 
 std::shared_ptr<const GraphShard> VersionedShardStore::materialize(
@@ -498,19 +514,12 @@ std::shared_ptr<const GraphShard> VersionedShardStore::materialize(
     shard->indptr_[static_cast<std::size_t>(l) + 1] =
         shard->indptr_[static_cast<std::size_t>(l)] +
         static_cast<EdgeIndex>(p.degree());
+    snap.reset_scratch();  // one merged row at a time
   }
   // Halo rows stay version-0 copies of other shards' state; the halo
   // validity gate (VersionTracker::first_mutation) decides whether a query
-  // may consume them, so compaction carries them through unchanged.
-  shard->halo_cache_enabled_ = old.halo_cache_enabled_;
-  shard->halo_row_of_ = old.halo_row_of_;
-  shard->halo_indptr_ = old.halo_indptr_;
-  shard->halo_weighted_deg_ = old.halo_weighted_deg_;
-  shard->halo_nbr_local_ids_ = old.halo_nbr_local_ids_;
-  shard->halo_nbr_shard_ids_ = old.halo_nbr_shard_ids_;
-  shard->halo_edge_weights_ = old.halo_edge_weights_;
-  shard->halo_nbr_weighted_deg_ = old.halo_nbr_weighted_deg_;
-  shard->halo_nbr_global_ids_ = old.halo_nbr_global_ids_;
+  // may consume them, so every generation shares the one immutable halo.
+  shard->halo_ = old.halo_;
   return shard;
 }
 
@@ -522,7 +531,7 @@ void VersionedShardStore::compact() {
   std::shared_ptr<const ShardSnapshot> snap;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (current_.segments.empty()) return;  // nothing to fold
+    if (current_.log->segments().empty()) return;  // nothing to fold
     snap = snapshot_locked(kVersionLatest);
   }
   span.annotate("version=" + std::to_string(snap->version()));
@@ -531,19 +540,24 @@ void VersionedShardStore::compact() {
   auto fresh = materialize(*snap);
   // Publish + Retire.
   std::lock_guard<std::mutex> lk(mu_);
+  // Segments applied during the copy carry into the new generation.
+  const auto& segments = current_.log->segments();
   Generation next;
-  next.base = std::move(fresh);
   next.floor = snap->version();
-  for (const auto& seg : current_.segments) {
-    if (seg->version() > snap->version()) next.segments.push_back(seg);
-  }
+  next.log = std::make_shared<const DeltaLog>(
+      fresh->num_core_nodes(),
+      std::vector<std::shared_ptr<const DeltaSegment>>(
+          segments.begin() +
+              static_cast<std::ptrdiff_t>(current_.log->count_at(next.floor)),
+          segments.end()));
+  next.base = std::move(fresh);
   retired_.push_back(std::move(current_));
   current_ = std::move(next);
   if (retired_.size() > kMaxRetiredGenerations) {
     retired_.erase(retired_.begin());
   }
   compactions_.add(1);
-  refresh_delta_gauge_locked();
+  delta_edges_.set(static_cast<std::int64_t>(current_.log->num_ops()));
 }
 
 void VersionedShardStore::serialize(ByteWriter& w) const {
@@ -553,9 +567,9 @@ void VersionedShardStore::serialize(ByteWriter& w) const {
   w.write<std::uint64_t>(current_.floor);
   w.write<std::uint64_t>(latest_);
   w.write<std::uint64_t>(first_mutation_);
-  w.write<std::uint32_t>(static_cast<std::uint32_t>(
-      current_.segments.size()));
-  for (const auto& seg : current_.segments) {
+  const auto& segments = current_.log->segments();
+  w.write<std::uint32_t>(static_cast<std::uint32_t>(segments.size()));
+  for (const auto& seg : segments) {
     w.write<std::uint64_t>(seg->version());
     seg->batch().encode(w);
   }

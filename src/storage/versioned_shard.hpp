@@ -9,6 +9,13 @@
 // how many mutations land or compactions run while the query is in
 // flight.
 //
+// Each generation indexes its log by core row (DeltaLog): apply()
+// publishes a copy extended by the new segment, so a snapshot finds a
+// row's touching segments with one array lookup and a clean row of a
+// mutated shard stays a zero-copy base read. A dirty row costs one merge
+// over only the segments that touch it, never one probe per pending
+// segment.
+//
 // The graph version is deliberately distinct from the ROUTING epoch
 // (cluster/shard_map.hpp): the routing epoch versions *where shards live*,
 // the graph version versions *what the edges are*. See the DESIGN.md §15
@@ -19,9 +26,10 @@
 // pinned snapshot, then published as a new generation whose floor is the
 // snapshot version; the old generation is retired but kept on a bounded
 // list so remote readers can still re-pin recent pre-compaction versions.
-// In-process readers keep their snapshot's arrays alive through
-// shared_ptrs regardless of retirement — compaction can never free memory
-// a reader still walks.
+// Every generation shares the shard's one immutable halo; a retired
+// generation holds only its own core CSR and log. In-process readers keep
+// their snapshot's arrays alive through shared_ptrs regardless of
+// retirement — compaction can never free memory a reader still walks.
 #pragma once
 
 #include <atomic>
@@ -30,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -75,8 +82,8 @@ struct MutationBatch {
   static MutationBatch decode(ByteReader& r);
 };
 
-/// Immutable batch + version + a per-source index so row merges only walk
-/// the ops that touch their row.
+/// Immutable batch + version, with its ops grouped by source row so a row
+/// merge reads only the ops that touch that row.
 class DeltaSegment {
  public:
   DeltaSegment(std::uint64_t version, MutationBatch batch);
@@ -85,18 +92,59 @@ class DeltaSegment {
   const MutationBatch& batch() const { return batch_; }
   std::size_t num_ops() const { return batch_.num_ops(); }
 
-  struct SrcOps {
-    std::vector<std::uint32_t> inserts;  // indices into batch().inserts
-    std::vector<std::uint32_t> deletes;  // indices into batch().deletes
-  };
-  /// Ops touching `src_local`, or nullptr when the row is clean here.
-  const SrcOps* ops(NodeId src_local) const;
-  bool touches(NodeId src_local) const { return ops(src_local) != nullptr; }
+  /// Distinct source rows this segment touches, ascending.
+  std::span<const NodeId> rows() const { return rows_; }
+  /// Indices into batch().deletes / batch().inserts of the ops of the
+  /// `slot`-th touched row (rows()[slot]), in batch order.
+  std::span<const std::uint32_t> deletes_of(std::size_t slot) const;
+  std::span<const std::uint32_t> inserts_of(std::size_t slot) const;
 
  private:
   std::uint64_t version_ = 0;
   MutationBatch batch_;
-  std::unordered_map<NodeId, SrcOps> by_src_;
+  std::vector<NodeId> rows_;
+  std::vector<std::uint32_t> delete_ptr_, insert_ptr_;  // rows_.size() + 1
+  std::vector<std::uint32_t> delete_ops_, insert_ops_;
+};
+
+/// One generation's delta log, indexed by core row: the segments in
+/// ascending version order plus, for every core row, the ascending
+/// positions of the segments that touch it. Immutable once built —
+/// apply() publishes an extended copy and compaction a fresh one, so every
+/// snapshot of a generation shares the log and reads at an older pin
+/// filter it by segment count. Holds O(core rows + touched rows) beside
+/// the segments themselves.
+class DeltaLog {
+ public:
+  /// A row's touch of one segment: the segment's position in segments()
+  /// and the row's slot in that segment (its index in rows()).
+  struct Touch {
+    std::uint32_t segment = 0;
+    std::uint32_t slot = 0;
+  };
+
+  DeltaLog(NodeId num_rows,
+           std::vector<std::shared_ptr<const DeltaSegment>> segments);
+
+  const std::vector<std::shared_ptr<const DeltaSegment>>& segments() const {
+    return segments_;
+  }
+  std::uint64_t num_ops() const { return num_ops_; }
+  /// Segments at or below `version` (a prefix: versions ascend).
+  std::size_t count_at(std::uint64_t version) const;
+  /// Segments touching `row`, ascending; empty for a clean or
+  /// out-of-range row.
+  std::span<const Touch> touches(NodeId row) const {
+    const auto r = static_cast<std::size_t>(row);  // negative → huge
+    if (r >= offsets_.size() - 1) return {};
+    return {touches_.data() + offsets_[r], touches_.data() + offsets_[r + 1]};
+  }
+
+ private:
+  std::vector<std::shared_ptr<const DeltaSegment>> segments_;
+  std::vector<std::uint32_t> offsets_;  // num_rows + 1
+  std::vector<Touch> touches_;
+  std::uint64_t num_ops_ = 0;
 };
 
 /// One coherent view of a shard at a pinned graph version: the base CSR
@@ -108,15 +156,16 @@ class DeltaSegment {
 ///
 /// NOT thread-safe per instance (the scratch arena mutates): the storage
 /// service builds one snapshot per request; the fetch pipeline owns one
-/// per query. The snapshot holds shared_ptrs to the base + segments and a
-/// refcounted pin (visible as the `storage.snapshot_pins` gauge), so the
-/// data it reads outlives any concurrent compaction.
+/// per query. The snapshot holds shared_ptrs to the base + its
+/// generation's DeltaLog and a refcounted pin (visible as the
+/// `storage.snapshot_pins` gauge), so the data it reads outlives any
+/// concurrent compaction.
 class ShardSnapshot {
  public:
   std::uint64_t version() const { return version_; }
   ShardId shard_id() const { return base_->shard_id(); }
   /// True when no segment ≤ the pin exists: every read is pure base.
-  bool clean() const { return segments_.empty(); }
+  bool clean() const { return num_segments_ == 0; }
   const GraphShard& base() const { return *base_; }
   std::shared_ptr<const GraphShard> base_ptr() const { return base_; }
 
@@ -127,12 +176,16 @@ class ShardSnapshot {
   /// d_w of `local` at this version (base value ± merged delta weights).
   float weighted_degree(NodeId local) const;
 
-  /// Any segment ≤ the pin touches this row.
-  bool dirty(NodeId local) const;
+  /// Any segment ≤ the pin touches this row (one index lookup).
+  bool dirty(NodeId local) const {
+    const auto t = log_->touches(local);
+    return !t.empty() && t.front().segment < num_segments_;
+  }
 
-  /// Neighborhood view at this version. Dirty rows materialize into the
-  /// snapshot's scratch arena — the returned view stays valid until
-  /// reset_scratch(); clean rows are zero-copy base views.
+  /// Neighborhood view at this version. Dirty rows merge into the
+  /// snapshot's scratch arena — a merged view stays valid until the next
+  /// read of a dirty row or reset_scratch(); clean rows are zero-copy base
+  /// views.
   VertexProp vertex_prop(NodeId local) const;
   std::vector<VertexProp> get_neighbor_infos(
       std::span<const NodeId> locals) const;
@@ -165,20 +218,26 @@ class ShardSnapshot {
  private:
   friend class VersionedShardStore;
   ShardSnapshot(std::shared_ptr<const GraphShard> base,
-                std::vector<std::shared_ptr<const DeltaSegment>> segments,
-                std::uint64_t version, std::shared_ptr<void> pin);
+                std::shared_ptr<const DeltaLog> log, std::uint64_t version,
+                std::shared_ptr<void> pin);
 
-  /// Merge base row ⊕ segment ops into the scratch arena; returns the
-  /// arena row index (cached per local).
+  /// Merge base row ⊕ the ops of every segment ≤ the pin that touches it
+  /// into the scratch arena; returns the arena row index.
   std::size_t merge_row(NodeId local) const;
 
+  /// Merge every dirty row of `locals` first (arena appends invalidate
+  /// earlier views), then call fn(i, row) for each row in order.
+  template <typename Fn>
+  void for_each_row(std::span<const NodeId> locals, Fn&& fn) const;
+
   std::shared_ptr<const GraphShard> base_;
-  std::vector<std::shared_ptr<const DeltaSegment>> segments_;  // ascending
+  std::shared_ptr<const DeltaLog> log_;
+  std::uint32_t num_segments_ = 0;  // prefix of log_ at or below the pin
   std::uint64_t version_ = 0;
   std::shared_ptr<void> pin_;  // decrements storage.snapshot_pins on drop
 
   mutable CachedRowArena scratch_;
-  mutable std::unordered_map<NodeId, std::size_t> merged_row_of_;
+  mutable std::vector<std::size_t> row_slots_;  // for_each_row's pass 1
 };
 
 /// The versioned store for one shard: current generation (base + pending
@@ -237,19 +296,18 @@ class VersionedShardStore {
   struct Generation {
     std::shared_ptr<const GraphShard> base;
     std::uint64_t floor = 0;  // base materialized at this version
-    std::vector<std::shared_ptr<const DeltaSegment>> segments;  // ascending
+    std::shared_ptr<const DeltaLog> log;  // segments above the floor
   };
 
   struct PinState;
 
   /// Build a fresh GraphShard equal to `snap` (merged rows + updated
-  /// weighted degrees; halo arrays copied from the old base).
+  /// weighted degrees; the halo shared with the old base).
   static std::shared_ptr<const GraphShard> materialize(
       const ShardSnapshot& snap);
 
   std::shared_ptr<const ShardSnapshot> snapshot_locked(
       std::uint64_t version) const;
-  void refresh_delta_gauge_locked();
 
   mutable std::mutex mu_;
   std::mutex compact_mu_;  // serializes concurrent compact() calls

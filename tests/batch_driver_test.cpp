@@ -7,6 +7,7 @@
 #include "engine/ssppr_batch.hpp"
 #include "engine/throughput.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 
 namespace ppr {
 namespace {
@@ -184,6 +185,28 @@ TEST_F(BatchDriverFixture, SingleQueryBatchMatchesComputeSsppr) {
   run_ssppr_batch(cluster->storage(0), states, DriverOptions{});
   expect_identical(sorted_ppr(states[0]), sorted_ppr(ref), "ppr");
   EXPECT_EQ(states[0].num_pushes(), ref.num_pushes());
+}
+
+// Every registered `pipeline.phase_us` series is fed by one batch run:
+// local and remote fetch by the pipeline, pop and push by the driver.
+TEST_F(BatchDriverFixture, EveryPipelinePhaseSeriesIsFed) {
+  auto cluster = make_cluster(false, 0);
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
+  std::vector<SspprState> states;
+  for (const NodeRef src : pick_sources(*cluster, 0, 4)) {
+    states.emplace_back(src, ppr);
+  }
+  auto& registry = obs::MetricRegistry::global();
+  const obs::MetricsSnapshot before = registry.snapshot();
+  run_ssppr_batch(cluster->storage(0), states, DriverOptions{});
+  const obs::MetricsSnapshot delta = registry.snapshot().delta_since(before);
+  std::size_t series = 0;
+  for (const auto& e : delta.entries) {
+    if (e.name != "pipeline.phase_us") continue;
+    ++series;
+    EXPECT_GT(e.hist.count, 0u) << e.key;
+  }
+  EXPECT_EQ(series, 4u);  // pop, local_fetch, remote_fetch, push
 }
 
 // Single (batch = false) is run_ssppr's ablation only: the batch driver

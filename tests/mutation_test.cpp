@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "engine/cluster.hpp"
 #include "engine/ssppr_driver.hpp"
 #include "graph/generators.hpp"
@@ -246,6 +248,286 @@ TEST_F(MutationFixture, DeleteThenReinsertAcrossVersions) {
   const VertexProp row2 = v2->vertex_prop(src);
   EXPECT_EQ(row2.nbr_local_ids[row2.degree() - 1], nbr_local);
   EXPECT_FLOAT_EQ(row2.edge_weights[row2.degree() - 1], 9.0f);
+}
+
+// ---------------------------------------------------------------------
+// Deep segment logs: more than 100 versions on a small shard whose hot
+// rows most segments touch, checked at every retained version (pins into
+// retired generations included) against a plain-vector reference merge.
+
+/// One reference row: the arrays a merged row must equal bit for bit.
+/// `inserted` marks edges that came from an insert (generator only).
+struct RefRow {
+  std::vector<NodeId> local;
+  std::vector<ShardId> shard;
+  std::vector<float> weight;
+  std::vector<float> nbr_dw;
+  std::vector<NodeId> global;
+  std::vector<char> inserted;
+  float dw = 0;
+
+  RowPtrs ptrs() const {
+    return RowPtrs{local.data(),  shard.data(),  weight.data(), nbr_dw.data(),
+                   global.data(), local.size(), dw};
+  }
+  /// Erase the first edge to `nbr`; returns its weight.
+  float erase_first(NodeId nbr) {
+    const auto k = std::find(global.begin(), global.end(), nbr) -
+                   global.begin();
+    if (static_cast<std::size_t>(k) == global.size()) {
+      ADD_FAILURE() << "no edge to " << nbr;
+      return 0;
+    }
+    const float w = weight[static_cast<std::size_t>(k)];
+    local.erase(local.begin() + k);
+    shard.erase(shard.begin() + k);
+    weight.erase(weight.begin() + k);
+    nbr_dw.erase(nbr_dw.begin() + k);
+    global.erase(global.begin() + k);
+    inserted.erase(inserted.begin() + k);
+    return w;
+  }
+};
+using RefShard = std::vector<RefRow>;
+
+/// The documented batch semantics on plain vectors: every delete (first
+/// live match) in batch order, then every insert appended in batch order.
+void apply_reference(RefShard& rows, const MutationBatch& b) {
+  for (const EdgeDelete& d : b.deletes) {
+    RefRow& r = rows[static_cast<std::size_t>(d.src_local)];
+    r.dw -= r.erase_first(d.nbr_global);
+  }
+  for (const EdgeInsert& e : b.inserts) {
+    RefRow& r = rows[static_cast<std::size_t>(e.src_local)];
+    r.local.push_back(e.nbr_local);
+    r.shard.push_back(e.nbr_shard);
+    r.weight.push_back(e.weight);
+    r.nbr_dw.push_back(e.nbr_weighted_deg);
+    r.global.push_back(e.nbr_global);
+    r.inserted.push_back(1);
+    r.dw += e.weight;
+  }
+}
+
+/// Bit patterns of a span of 4-byte values (ids or floats).
+template <typename T>
+std::vector<std::uint32_t> bits(std::span<const T> v) {
+  static_assert(sizeof(T) == 4);
+  std::vector<std::uint32_t> out;
+  for (const T x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+template <typename T>
+std::vector<std::uint32_t> bits(const std::vector<T>& v) {
+  return bits(std::span<const T>(v));
+}
+
+void expect_row(const VertexProp& got, const RefRow& want,
+                const std::string& what) {
+  EXPECT_EQ(bits(got.nbr_local_ids), bits(want.local)) << what;
+  EXPECT_EQ(bits(got.nbr_shard_ids), bits(want.shard)) << what;
+  EXPECT_EQ(bits(got.edge_weights), bits(want.weight)) << what;
+  EXPECT_EQ(bits(got.nbr_weighted_degrees), bits(want.nbr_dw)) << what;
+  EXPECT_EQ(bits(got.nbr_global_ids), bits(want.global)) << what;
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(got.weighted_degree),
+            std::bit_cast<std::uint32_t>(want.dw))
+      << what;
+}
+
+TEST(DeepSegmentLog, EveryRetainedVersionMatchesReferenceMerge) {
+  const Graph g = generate_clustered(120, 2, 600, 60, 1.5, 5);
+  const ShardedGraph sg =
+      build_sharded_graph(g, partition_hash(g, 2), 2, /*halo=*/true);
+  const GraphShard& base = *sg.shards[0];
+  const NodeId n = base.num_core_nodes();
+  VersionedShardStore store(sg.shards[0]);
+
+  RefShard ref(static_cast<std::size_t>(n));
+  for (NodeId l = 0; l < n; ++l) {
+    const VertexProp p = base.vertex_prop(l);
+    RefRow& r = ref[static_cast<std::size_t>(l)];
+    r.local.assign(p.nbr_local_ids.begin(), p.nbr_local_ids.end());
+    r.shard.assign(p.nbr_shard_ids.begin(), p.nbr_shard_ids.end());
+    r.weight.assign(p.edge_weights.begin(), p.edge_weights.end());
+    r.nbr_dw.assign(p.nbr_weighted_degrees.begin(),
+                    p.nbr_weighted_degrees.end());
+    r.global.assign(p.nbr_global_ids.begin(), p.nbr_global_ids.end());
+    r.inserted.assign(p.degree(), 0);
+    r.dw = p.weighted_degree;
+  }
+  std::vector<RefShard> at_version{ref};
+
+  // Three hot rows take three of every four ops; compactions fold the log
+  // at versions 40 and 80 and batches keep landing after each.
+  constexpr NodeId kHot = 3;
+  constexpr std::uint64_t kVersions = 120;
+  int base_deletes = 0, inserted_deletes = 0, parallel_inserts = 0,
+      reinserts = 0;
+  Rng rng(2024);
+  for (std::uint64_t v = 1; v <= kVersions; ++v) {
+    MutationBatch b;
+    // Deletes must name edges live when they apply (before the batch's
+    // inserts), so they are drawn from a copy the deletes consume.
+    RefShard live = ref;
+    const auto insert_to = [&](NodeId src, NodeId global) {
+      const NodeRef to = sg.mapping.to_ref(global);
+      const auto& row = live[static_cast<std::size_t>(src)].global;
+      if (std::find(row.begin(), row.end(), global) != row.end()) {
+        ++parallel_inserts;
+      }
+      b.inserts.push_back(EdgeInsert{src, to.local, to.shard, global,
+                                     rng.next_float(0.25f, 4.0f),
+                                     rng.next_float(1.0f, 50.0f)});
+    };
+    const auto ops = 1 + rng.next_u64(6);
+    for (std::uint64_t o = 0; o < ops; ++o) {
+      const auto src = static_cast<NodeId>(
+          rng.next_u64(4) != 0 ? rng.next_u64(kHot)
+                               : rng.next_u64(static_cast<std::uint64_t>(n)));
+      RefRow& row = live[static_cast<std::size_t>(src)];
+      const auto kind = rng.next_u64(4);
+      if (kind < 2 && !row.global.empty()) {
+        const auto k = rng.next_u64(row.global.size());
+        (row.inserted[k] != 0 ? inserted_deletes : base_deletes) += 1;
+        const NodeId nbr = row.global[k];
+        b.deletes.push_back(EdgeDelete{src, nbr});
+        (void)row.erase_first(nbr);
+      } else if (kind == 2 && !row.global.empty()) {
+        insert_to(src, row.global[rng.next_u64(row.global.size())]);
+      } else {
+        insert_to(src, static_cast<NodeId>(rng.next_u64(
+                           static_cast<std::uint64_t>(g.num_nodes()))));
+      }
+    }
+    if (v % 10 == 0 && !live[0].global.empty()) {
+      // Delete-then-reinsert within one batch: the edge moves to the end.
+      const NodeId nbr = live[0].global.front();
+      b.deletes.push_back(EdgeDelete{0, nbr});
+      (void)live[0].erase_first(nbr);
+      insert_to(0, nbr);
+      ++reinserts;
+    }
+    apply_reference(ref, b);
+    at_version.push_back(ref);
+    store.apply(v, std::move(b));
+    if (v == 40 || v == 80) store.compact();
+  }
+  EXPECT_EQ(store.compactions(), 2u);
+  EXPECT_EQ(store.oldest_pinnable_version(), 0u);
+  EXPECT_GT(base_deletes, 0);
+  EXPECT_GT(inserted_deletes, 0);
+  EXPECT_GT(parallel_inserts, 0);
+  EXPECT_EQ(reinserts, 12);
+
+  // Every row, hot rows repeated, in a scrambled order.
+  std::vector<NodeId> locals;
+  for (NodeId l = 0; l < n; ++l) locals.push_back((l * 7 + 3) % n);
+  for (NodeId l = 0; l < kHot; ++l) locals.push_back(l);
+
+  for (std::uint64_t v = 0; v <= kVersions; ++v) {
+    SCOPED_TRACE(::testing::Message() << "version " << v);
+    const auto snap = store.snapshot(v);
+    const RefShard& want = at_version[v];
+    for (NodeId l = 0; l < n; ++l) {
+      const std::string what = "row " + std::to_string(l);
+      expect_row(snap->vertex_prop(l), want[static_cast<std::size_t>(l)],
+                 what);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(snap->weighted_degree(l)),
+                std::bit_cast<std::uint32_t>(
+                    want[static_cast<std::size_t>(l)].dw))
+          << what;
+    }
+    snap->reset_scratch();
+
+    const std::vector<VertexProp> props = snap->get_neighbor_infos(locals);
+    ASSERT_EQ(props.size(), locals.size());
+    std::vector<RowPtrs> want_rows;
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      const RefRow& r = want[static_cast<std::size_t>(locals[i])];
+      expect_row(props[i], r, "batched row " + std::to_string(locals[i]));
+      want_rows.push_back(r.ptrs());
+    }
+
+    for (const WireCodec codec : {WireCodec::kFlat, WireCodec::kDeltaVarint}) {
+      FetchOptions options;
+      options.codec = codec;
+      ByteWriter got;
+      snap->encode_neighbor_infos_csr(locals, got, options);
+      ByteWriter expected;
+      encode_rows_csr(want_rows, expected, options);
+      EXPECT_EQ(got.bytes(), expected.bytes()) << wire_codec_name(codec);
+    }
+
+    // The samplers' draw sequence (GraphShard::sample_one_neighbor) over
+    // the reference rows.
+    const std::uint64_t seed = 77 + v;
+    std::vector<NodeId> out_local, out_global;
+    std::vector<ShardId> out_shard;
+    snap->sample_one_neighbor(locals, seed, out_local, out_shard, out_global);
+    Rng draws(seed);
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      const RefRow& r = want[static_cast<std::size_t>(locals[i])];
+      if (r.global.empty()) {
+        EXPECT_EQ(out_local[i], locals[i]);
+        EXPECT_EQ(out_shard[i], 0);
+        EXPECT_EQ(out_global[i], base.core_global_id(locals[i]));
+        continue;
+      }
+      const float target = draws.next_float(0.0f, r.dw);
+      float acc = 0;
+      std::size_t pick = r.global.size() - 1;
+      for (std::size_t k = 0; k < r.global.size(); ++k) {
+        acc += r.weight[k];
+        if (acc >= target) {
+          pick = k;
+          break;
+        }
+      }
+      EXPECT_EQ(out_local[i], r.local[pick]) << "sample " << i;
+      EXPECT_EQ(out_shard[i], r.shard[pick]) << "sample " << i;
+      EXPECT_EQ(out_global[i], r.global[pick]) << "sample " << i;
+    }
+  }
+}
+
+// Every generation shares the shard's one immutable halo: compaction
+// hands the new base the old base's halo arrays instead of a copy.
+TEST_F(MutationFixture, CompactionSharesTheHaloAcrossGenerations) {
+  ClusterOptions opts;
+  opts.num_machines = 3;
+  opts.network = no_network_cost();
+  opts.cache_halo_adjacency = true;
+  Cluster cluster(graph_, assignment_, opts);
+  const auto store = cluster.store(0);
+  const auto old_base = store->base();
+  ASSERT_GT(old_base->num_halo_rows(), 0);
+
+  // The first halo ref of shard 0: a neighbor on another shard.
+  std::optional<NodeRef> ref;
+  for (NodeId l = 0; l < old_base->num_core_nodes() && !ref; ++l) {
+    const VertexProp p = old_base->vertex_prop(l);
+    for (std::size_t k = 0; k < p.degree(); ++k) {
+      if (p.nbr_shard_ids[k] != 0) {
+        ref = NodeRef{p.nbr_local_ids[k], p.nbr_shard_ids[k]};
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(ref.has_value());
+
+  for (const auto& batch : batches_) cluster.apply_edge_mutations(batch);
+  ASSERT_GT(store->delta_edges(), 0u);
+  store->compact();
+  const auto new_base = store->base();
+  ASSERT_NE(new_base, old_base);
+
+  const auto old_row = old_base->halo_vertex_prop(*ref);
+  const auto new_row = new_base->halo_vertex_prop(*ref);
+  ASSERT_TRUE(old_row.has_value());
+  ASSERT_TRUE(new_row.has_value());
+  EXPECT_EQ(new_row->nbr_local_ids.data(), old_row->nbr_local_ids.data());
+  EXPECT_EQ(new_row->nbr_global_ids.data(), old_row->nbr_global_ids.data());
+  EXPECT_EQ(new_base->num_halo_rows(), old_base->num_halo_rows());
 }
 
 // ---------------------------------------------------------------------
@@ -570,6 +852,62 @@ TEST_F(MutationFixture, ConcurrentMutateAndQueryStaysSnapshotConsistent) {
     const SspprState at0 = compute_ssppr(cluster->storage(0), sources[q],
                                          ppr, pinned_driver(0));
     expect_identical(sorted_ppr(at0), baseline[q], "pin0 after churn");
+  }
+}
+
+// Readers pinned BELOW the newest version stay bit-identical while
+// batches land and every shard compacts every third batch: the shared
+// row index of each generation is read at older pins on query, server and
+// coordinator threads while apply() and compact() replace it.
+TEST_F(MutationFixture, ConcurrentOldPinReadsStayConsistentThroughCompactions) {
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = kEps};
+  const auto stream = mutation_stream(graph_, 12, 20, 0.6, 7);
+
+  // Expected answers at every version, from a copy that never compacts.
+  auto reference = make_cluster();
+  const auto sources = pick_sources(*reference, 0, 2);
+  std::vector<std::vector<Entries>> want(stream.size() + 1);
+  for (std::size_t v = 0; v <= stream.size(); ++v) {
+    if (v > 0) reference->apply_edge_mutations(stream[v - 1]);
+    for (const NodeRef src : sources) {
+      want[v].push_back(sorted_ppr(compute_ssppr(
+          reference->storage(0), src, ppr, pinned_driver(v))));
+    }
+  }
+
+  // With 12 batches, a compaction every 3 and 4 retired generations kept,
+  // every version stays pinnable for the whole run.
+  auto cluster = make_cluster();
+  std::atomic<bool> done{false};
+  std::thread mutator([&] {
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+      cluster->apply_edge_mutations(stream[b]);
+      if (b % 3 == 2) cluster->compact_all();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const auto read_old_pins = [&](std::size_t q) {
+    int rounds = 0;
+    while (!done.load(std::memory_order_acquire) || rounds < 3) {
+      const std::uint64_t latest = cluster->graph_version();
+      for (std::uint64_t back = 1; back <= 2 && back <= latest; ++back) {
+        const std::uint64_t pin = latest - back;
+        const SspprState got = compute_ssppr(cluster->storage(0), sources[q],
+                                             ppr, pinned_driver(pin));
+        expect_identical(sorted_ppr(got), want[pin][q],
+                         "pin " + std::to_string(pin));
+      }
+      ++rounds;
+    }
+  };
+  std::thread reader([&] { read_old_pins(1); });
+  read_old_pins(0);
+  reader.join();
+  mutator.join();
+
+  EXPECT_EQ(cluster->graph_version(), stream.size());
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(cluster->store(s)->compactions(), 4u) << "shard " << s;
   }
 }
 

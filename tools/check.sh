@@ -57,6 +57,13 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       # correct if those never tear).
       echo "=== ${SANITIZER}: ctest -L mutation (versioned storage) ==="
       ctest --test-dir "${BUILD}" -L mutation --output-on-failure
+      # Each generation's delta log (segments + row index) is replaced by
+      # apply() and compaction while query, server and coordinator
+      # threads read it at the newest and at older pins. Repeat the
+      # concurrent cases alone so a rare interleaving gets its chances.
+      echo "=== ${SANITIZER}: mutation_test concurrent cases x20 ==="
+      "${BUILD}/tests/mutation_test" --gtest_filter='*Concurrent*' \
+          --gtest_repeat=20 --gtest_brief=1
       # The loopback TCP echo suites: many client threads write
       # concurrently on one link, so frames must never interleave and
       # replies must never cross between callers. Repeat them alone.
