@@ -4,6 +4,20 @@
 
 namespace ppr::cluster {
 
+namespace {
+
+/// Entry count of a list whose entries take `entry_bytes` each; a count
+/// the rest of the payload cannot hold is rejected before anything is
+/// reserved for it.
+std::uint64_t read_count(ByteReader& r, std::size_t entry_bytes) {
+  const auto n = r.read<std::uint64_t>();
+  GE_REQUIRE(n <= r.remaining() / entry_bytes,
+             "entry count exceeds the payload");
+  return n;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_ssppr_request(const SspprRequest& r) {
   ByteWriter w;
   w.write<std::int64_t>(r.source);
@@ -34,7 +48,7 @@ SspprReply decode_ssppr_reply(std::span<const std::uint8_t> p) {
   SspprReply out;
   out.status = r.read<std::uint8_t>();
   out.num_pushes = r.read<std::uint64_t>();
-  const auto n = r.read<std::uint64_t>();
+  const auto n = read_count(r, sizeof(std::int64_t) + sizeof(double));
   out.entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto global = static_cast<NodeId>(r.read<std::int64_t>());
@@ -74,7 +88,7 @@ BfsReply decode_bfs_reply(std::span<const std::uint8_t> p) {
   ByteReader r(p);
   BfsReply out;
   out.num_levels = r.read<std::uint64_t>();
-  const auto n = r.read<std::uint64_t>();
+  const auto n = read_count(r, sizeof(std::int64_t) + sizeof(std::int32_t));
   out.distances.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto global = static_cast<NodeId>(r.read<std::int64_t>());
@@ -176,7 +190,7 @@ std::vector<std::uint8_t> encode_shard_load_reply(
 std::vector<std::pair<ShardId, std::uint64_t>> decode_shard_load_reply(
     std::span<const std::uint8_t> p) {
   ByteReader r(p);
-  const auto n = r.read<std::uint64_t>();
+  const auto n = read_count(r, sizeof(std::int32_t) + sizeof(std::uint64_t));
   std::vector<std::pair<ShardId, std::uint64_t>> counts;
   counts.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -202,7 +216,8 @@ std::vector<std::uint8_t> encode_mutate_request(const MutateRequest& r) {
 MutateRequest decode_mutate_request(std::span<const std::uint8_t> p) {
   ByteReader r(p);
   MutateRequest req;
-  const auto n = r.read<std::uint64_t>();
+  const auto n = read_count(r, 2 * sizeof(std::int64_t) + sizeof(float) +
+                                   sizeof(std::uint8_t));
   req.ops.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     EdgeMutationOp op;

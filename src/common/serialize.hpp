@@ -177,9 +177,11 @@ class ByteReader {
     return v;
   }
 
+  /// The length is checked against the bytes left, so a hostile length
+  /// cannot wrap the bound and slip past it.
   std::string read_string() {
     const auto n = read<std::uint64_t>();
-    GE_CHECK(pos_ + n <= data_.size(), "serialized buffer underflow");
+    GE_REQUIRE(n <= remaining(), "serialized buffer underflow");
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;

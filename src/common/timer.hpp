@@ -1,12 +1,10 @@
-// Wall-clock timers and per-phase accumulators used by the benchmark
-// harness to produce the paper's runtime breakdowns (Fig. 6, Table 3).
+// Wall-clock stopwatch and the phase names of the paper's runtime
+// breakdowns (Fig. 6, Table 3). Phase time itself is recorded into the
+// registry's `pipeline.phase_us{phase=...}` histograms
+// (storage/fetch_pipeline.hpp), the one phase clock.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <string>
 
 namespace ppr {
 
@@ -27,15 +25,14 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Phases instrumented by the SSPPR driver, matching the paper's breakdown.
+/// Phases every SSPPR driver times, matching the paper's breakdown.
 enum class Phase : int {
   kPop = 0,
   kLocalFetch = 1,
   kRemoteFetch = 2,
   kPush = 3,
-  kOther = 4,
 };
-inline constexpr int kNumPhases = 5;
+inline constexpr int kNumPhases = 4;
 
 inline const char* phase_name(Phase p) {
   switch (p) {
@@ -47,53 +44,8 @@ inline const char* phase_name(Phase p) {
       return "remote_fetch";
     case Phase::kPush:
       return "push";
-    case Phase::kOther:
-      return "other";
   }
   return "?";
 }
-
-/// Accumulates wall time per phase. Thread-safe via atomic adds so that
-/// multiple computing workers can share one accumulator.
-class PhaseTimers {
- public:
-  void add(Phase phase, double seconds) {
-    nanos_[static_cast<int>(phase)].fetch_add(
-        static_cast<std::int64_t>(seconds * 1e9),
-        std::memory_order_relaxed);
-  }
-  double seconds(Phase phase) const {
-    return static_cast<double>(
-               nanos_[static_cast<int>(phase)].load(
-                   std::memory_order_relaxed)) *
-           1e-9;
-  }
-  double total_seconds() const {
-    double t = 0;
-    for (const auto& n : nanos_) t += static_cast<double>(n.load()) * 1e-9;
-    return t;
-  }
-  void reset() {
-    for (auto& n : nanos_) n.store(0);
-  }
-
- private:
-  std::array<std::atomic<std::int64_t>, kNumPhases> nanos_{};
-};
-
-/// RAII helper: adds elapsed time to `timers[phase]` on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimers& timers, Phase phase)
-      : timers_(timers), phase_(phase) {}
-  ~ScopedPhase() { timers_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimers& timers_;
-  Phase phase_;
-  WallTimer timer_;
-};
 
 }  // namespace ppr

@@ -47,13 +47,10 @@ struct BatchScratch {
 
 BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
                               std::span<SspprState> states,
-                              const DriverOptions& options,
-                              PhaseTimers* timers) {
+                              const DriverOptions& options) {
   GE_REQUIRE(options.batch,
              "run_ssppr_batch is batched; the Single ablation runs through "
              "run_ssppr");
-  PhaseTimers local_timers;
-  PhaseTimers& t = timers != nullptr ? *timers : local_timers;
   const std::size_t nq = states.size();
   const auto ns = static_cast<std::size_t>(storage.num_shards());
   const ShardId self = storage.shard_id();
@@ -133,7 +130,6 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
   };
   double push_us = 0;  // this round's two fan-outs
   const auto fan_out = [&](const auto& push_query) {
-    ScopedPhase phase(t, Phase::kPush);
     WallTimer wall;
     push_all(push_query);
     push_us += wall.micros();
@@ -143,7 +139,6 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     // --- Pop every query's frontier; stop once all are exhausted. ------
     bool any_active = false;
     {
-      ScopedPhase phase(t, Phase::kPop);
       WallTimer wall;
       for (std::size_t q = 0; q < nq; ++q) {
         states[q].pop(scratch.node_ids[q], scratch.shard_ids[q]);
@@ -185,7 +180,7 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     // halo pushes while responses are in flight; the fetched rows push
     // once they arrived.
     push_us = 0;
-    pipeline.execute(plan, &t, [&] { fan_out(push_resident); });
+    pipeline.execute(plan, [&] { fan_out(push_resident); });
     fan_out(push_fetched);
     pipeline_phase_histogram(Phase::kPush).record(push_us);
   }

@@ -36,10 +36,11 @@ struct BatchRunStats {
 /// hook, while remote responses are in flight. `options.query_threads > 1`
 /// spreads the push fan-out across queries with OpenMP (states are
 /// disjoint, so this stays deterministic). `options.batch` must be set —
-/// the Single ablation is run_ssppr's (InvalidArgument otherwise).
+/// the Single ablation is run_ssppr's (InvalidArgument otherwise). Each
+/// round records its pop pass and its push fan-outs once into
+/// `pipeline.phase_us`; the pipeline records the two fetch phases.
 BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
                               std::span<SspprState> states,
-                              const DriverOptions& options = {},
-                              PhaseTimers* timers = nullptr);
+                              const DriverOptions& options = {});
 
 }  // namespace ppr

@@ -10,7 +10,6 @@
 // Single is the only other path, kept as the Table-3 ablation.
 #pragma once
 
-#include "common/timer.hpp"
 #include "ppr/ssppr_state.hpp"
 #include "storage/dist_storage.hpp"
 
@@ -55,16 +54,15 @@ struct SspprRunStats {
 /// Run one whole-graph SSPPR query to completion. `source` must be a core
 /// node of `storage`'s shard (owner-compute rule). A batched `options`
 /// runs as a one-element run_ssppr_batch; `batch = false` runs the
-/// per-vertex Single ablation. `timers`, if given, accumulates the
-/// per-phase breakdown.
+/// per-vertex Single ablation. Either way the per-phase breakdown lands in
+/// the registry's `pipeline.phase_us{phase=...}`, once per round (DESIGN.md
+/// §11).
 SspprRunStats run_ssppr(const DistGraphStorage& storage, SspprState& state,
-                        const DriverOptions& options,
-                        PhaseTimers* timers = nullptr);
+                        const DriverOptions& options);
 
 /// Convenience: construct the state, run, and return it.
 SspprState compute_ssppr(const DistGraphStorage& storage, NodeRef source,
                          const SspprOptions& ppr_options,
-                         const DriverOptions& driver_options = {},
-                         PhaseTimers* timers = nullptr);
+                         const DriverOptions& driver_options = {});
 
 }  // namespace ppr

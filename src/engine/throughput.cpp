@@ -9,6 +9,7 @@
 #include "engine/ssppr_batch.hpp"
 #include "engine/state_pool.hpp"
 #include "ppr/power_iteration.hpp"
+#include "storage/fetch_pipeline.hpp"
 
 namespace ppr {
 
@@ -36,6 +37,16 @@ std::vector<std::vector<NodeId>> make_query_sets(Cluster& cluster,
   return sets;
 }
 
+/// Running sum of every `pipeline.phase_us` series, in µs.
+std::array<std::uint64_t, kNumPhases> phase_sums_us() {
+  std::array<std::uint64_t, kNumPhases> sums{};
+  for (int ph = 0; ph < kNumPhases; ++ph) {
+    sums[static_cast<std::size_t>(ph)] =
+        pipeline_phase_histogram(static_cast<Phase>(ph)).snapshot().sum;
+  }
+  return sums;
+}
+
 /// A query executor runs one machine-process's share of the query set —
 /// it receives the whole share at once so batched executors can chunk it.
 template <typename RunQueries>
@@ -54,13 +65,13 @@ ThroughputResult measure(Cluster& cluster, const WorkloadOptions& options,
 
   const int total_runs = options.warmup_runs + options.measured_runs;
   double sum_seconds = 0;
-  std::array<double, kNumPhases> sum_phases{};
+  std::array<std::uint64_t, kNumPhases> phases_before{};
   std::size_t sum_pushes = 0;
 
   for (int run = 0; run < total_runs; ++run) {
     const bool measured = run >= options.warmup_runs;
+    if (run == options.warmup_runs) phases_before = phase_sums_us();
     cluster.reset_stats();
-    PhaseTimers timers;
     std::atomic<std::size_t> pushes{0};
 
     WallTimer wall;
@@ -79,17 +90,12 @@ ThroughputResult measure(Cluster& cluster, const WorkloadOptions& options,
                q < queries.size(); q += static_cast<std::size_t>(procs)) {
             share.push_back(queries[q]);
           }
-          pushes.fetch_add(run_queries(m, share, timers),
-                           std::memory_order_relaxed);
+          pushes.fetch_add(run_queries(m, share), std::memory_order_relaxed);
         });
     const double seconds = wall.seconds();
 
     if (measured) {
       sum_seconds += seconds;
-      for (int ph = 0; ph < kNumPhases; ++ph) {
-        sum_phases[static_cast<std::size_t>(ph)] +=
-            timers.seconds(static_cast<Phase>(ph));
-      }
       sum_pushes += pushes.load();
       res.remote_ratio = cluster.remote_ratio();
     }
@@ -99,9 +105,11 @@ ThroughputResult measure(Cluster& cluster, const WorkloadOptions& options,
   res.seconds_per_run = sum_seconds / runs;
   res.queries_per_second =
       static_cast<double>(res.total_queries) / res.seconds_per_run;
-  for (int ph = 0; ph < kNumPhases; ++ph) {
-    res.phase_seconds[static_cast<std::size_t>(ph)] =
-        sum_phases[static_cast<std::size_t>(ph)] / runs;
+  const auto phases_after = phase_sums_us();
+  for (std::size_t ph = 0; ph < res.phase_seconds.size(); ++ph) {
+    res.phase_seconds[ph] =
+        static_cast<double>(phases_after[ph] - phases_before[ph]) * 1e-6 /
+        runs;
   }
   res.total_pushes = static_cast<std::size_t>(
       static_cast<double>(sum_pushes) / runs);
@@ -126,16 +134,15 @@ ThroughputResult measure_engine_throughput(Cluster& cluster,
   const auto bsz = static_cast<std::size_t>(opts.query_batch_size);
   return measure(
       cluster, opts,
-      [&](int machine, std::span<const NodeId> sources,
-          PhaseTimers& timers) -> std::size_t {
+      [&](int machine, std::span<const NodeId> sources) -> std::size_t {
         const auto shard = static_cast<ShardId>(machine);
         std::size_t num_pushes = 0;
         if (bsz == 1) {
           for (const NodeId source_local : sources) {
             SspprState state(NodeRef{source_local, shard}, opts.ppr);
-            num_pushes += run_ssppr(cluster.storage(machine), state,
-                                    opts.driver, &timers)
-                              .num_pushes;
+            num_pushes +=
+                run_ssppr(cluster.storage(machine), state, opts.driver)
+                    .num_pushes;
           }
           return num_pushes;
         }
@@ -153,8 +160,7 @@ ThroughputResult measure_engine_throughput(Cluster& cluster,
           }
           SspprStatePool::Lease lease = pool.acquire(refs);
           num_pushes += run_ssppr_batch(cluster.storage(machine),
-                                        lease.states(), opts.driver,
-                                        &timers)
+                                        lease.states(), opts.driver)
                             .num_pushes;
         }
         return num_pushes;
@@ -169,8 +175,8 @@ ThroughputResult measure_tensor_throughput(Cluster& cluster,
   topts.compress = options.driver.compress;
   topts.overlap = options.driver.overlap;
   return measure(cluster, options,
-                 [&](int machine, std::span<const NodeId> sources,
-                     PhaseTimers& timers) -> std::size_t {
+                 [&](int machine,
+                     std::span<const NodeId> sources) -> std::size_t {
                    std::size_t num_pushes = 0;
                    for (const NodeId source_local : sources) {
                      const NodeId global =
@@ -178,7 +184,7 @@ ThroughputResult measure_tensor_throughput(Cluster& cluster,
                      const TensorPushResult r =
                          tensor_forward_push(cluster.storage(machine),
                                              cluster.tensor_ctx(), global,
-                                             topts, &timers);
+                                             topts);
                      num_pushes += r.num_pushes;
                    }
                    return num_pushes;

@@ -1,10 +1,14 @@
 // Throughput harness (§2.1.2): processes a batch of SSPPR queries per
 // machine with P computing processes each, measures wall time including
 // synchronization, and reports queries/second across all machines.
+// Phase times are the process-wide `pipeline.phase_us` sums read before
+// the first measured run and after the last, so run one measurement at a
+// time.
 #pragma once
 
 #include <array>
 
+#include "common/timer.hpp"
 #include "engine/cluster.hpp"
 #include "engine/ssppr_driver.hpp"
 
@@ -29,8 +33,9 @@ struct ThroughputResult {
   double queries_per_second = 0;
   double seconds_per_run = 0;   // mean over measured runs
   std::uint64_t total_queries = 0;
-  /// Per-phase time summed over all computing processes (mean over runs);
-  /// index with static_cast<int>(Phase).
+  /// Per-phase time summed over all computing processes (mean over
+  /// measured runs), from the `pipeline.phase_us` series; index with
+  /// static_cast<int>(Phase).
   std::array<double, kNumPhases> phase_seconds{};
   double remote_ratio = 0;
   std::size_t total_pushes = 0;  // mean over runs

@@ -153,7 +153,7 @@ SubgraphBatch convert_batch(const DistGraphStorage& storage,
   };
   // Own-shard rows induce while remote rows are in flight.
   const ShardId self = storage.shard_id();
-  pipeline.execute({}, nullptr, [&] {
+  pipeline.execute({}, [&] {
     for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
       if (batch.nodes[i].shard == self) add_edges(i);
     }

@@ -64,7 +64,7 @@ BfsResult distributed_bfs(const DistGraphStorage& storage,
 
     pipeline.execute({options.compress, options.overlap, options.codec,
                       options.fetch_weights},
-                     nullptr, [&] { expand_shard(self); });
+                     [&] { expand_shard(self); });
     for (ShardId j = 0; j < num_shards; ++j) {
       if (j != self) expand_shard(j);
     }

@@ -119,7 +119,7 @@ Node2vecResult node2vec_walk(const DistGraphStorage& storage,
     };
 
     // Own-shard walkers advance while remote rows are in flight.
-    pipeline.execute({}, nullptr, [&] { advance_shard(self); });
+    pipeline.execute({}, [&] { advance_shard(self); });
     for (ShardId j = 0; j < num_shards; ++j) {
       if (j != self) advance_shard(j);
     }

@@ -93,8 +93,7 @@ RandomWalkResult distributed_random_walk(const DistGraphStorage& g,
       };
 
       advanced.assign(n, 0);
-      pipeline.execute({options.compress, options.overlap, options.codec},
-                       nullptr, [&] {
+      pipeline.execute({options.compress, options.overlap, options.codec}, [&] {
         // Advance own-shard walkers while remote rows are in flight.
         for (std::size_t i = 0; i < n; ++i) {
           if (shard_ids[i] == self) {

@@ -371,6 +371,20 @@ void SspprState::push_rows(RowFn&& row, std::span<const NodeId> node_ids,
     }
   };
 
+  if (num_threads <= 1) {
+    if (dense) {
+      for (std::size_t i = 0; i < n; ++i) step1_dense(i, false);
+      for (std::size_t i = 0; i < n; ++i) step2_dense_st(i);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) step1_sparse(i);
+      for (std::size_t i = 0; i < n; ++i) step2_sparse(i, 0, 1, activated_);
+    }
+    pool.release(std::move(rv_buf));
+    pool.release(std::move(row_buf));
+    return;
+  }
+
+#ifdef _OPENMP
   const auto step2_dense_mt = [&](std::size_t i, std::size_t tid,
                                   std::size_t nt,
                                   std::vector<std::uint64_t>& activated_out) {
@@ -396,20 +410,6 @@ void SspprState::push_rows(RowFn&& row, std::span<const NodeId> node_ids,
     }
   };
 
-  if (num_threads <= 1) {
-    if (dense) {
-      for (std::size_t i = 0; i < n; ++i) step1_dense(i, false);
-      for (std::size_t i = 0; i < n; ++i) step2_dense_st(i);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) step1_sparse(i);
-      for (std::size_t i = 0; i < n; ++i) step2_sparse(i, 0, 1, activated_);
-    }
-    pool.release(std::move(rv_buf));
-    pool.release(std::move(row_buf));
-    return;
-  }
-
-#ifdef _OPENMP
   if (mt_activated_.size() < static_cast<std::size_t>(num_threads)) {
     mt_activated_.resize(static_cast<std::size_t>(num_threads));
   }

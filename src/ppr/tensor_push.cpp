@@ -1,5 +1,9 @@
 #include "ppr/tensor_push.hpp"
 
+#include <array>
+
+#include "storage/fetch_pipeline.hpp"
+
 namespace ppr {
 
 TensorPushContext::TensorPushContext(const GlobalMapping& mapping,
@@ -74,14 +78,11 @@ GroupTensors batch_to_tensors(const Batch& batch, std::size_t batch_size) {
 TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
                                      const TensorPushContext& ctx,
                                      NodeId source_global,
-                                     const TensorPushOptions& options,
-                                     PhaseTimers* timers) {
+                                     const TensorPushOptions& options) {
   GE_REQUIRE(source_global >= 0 && source_global < ctx.num_nodes(),
              "source out of range");
   const auto n = static_cast<std::size_t>(ctx.num_nodes());
   const int num_shards = storage.num_shards();
-  PhaseTimers local_timers;
-  PhaseTimers& t = timers != nullptr ? *timers : local_timers;
 
   TensorPushResult res;
   DoubleTensor p(n);
@@ -94,23 +95,20 @@ TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
     // Activated-node retrieval: r > eps*d_w elementwise + nonzero — two
     // full dense kernels, each allocating. This is the step whose cost is
     // proportional to |V| (the tensor baseline's structural overhead).
-    LongTensor active;
-    {
-      ScopedPhase phase(t, Phase::kPop);
-      const BoolTensor mask = ops::greater(r, threshold);
-      active = ops::nonzero(mask);
-    }
+    WallTimer wall;
+    const LongTensor active = ops::nonzero(ops::greater(r, threshold));
+    pipeline_phase_histogram(Phase::kPop).record(wall.micros());
     if (active.empty()) break;
     ++res.num_iterations;
     res.num_pushes += active.size();
 
-    // mask_dict: per-shard masks + masked id selections (Figure 4).
+    // mask_dict: per-shard masks + masked id selections (Figure 4); not a
+    // reported phase, so left untimed.
     std::vector<LongTensor> globals_by_shard(
         static_cast<std::size_t>(num_shards));
     std::vector<IntTensor> locals_by_shard(
         static_cast<std::size_t>(num_shards));
     {
-      ScopedPhase phase(t, Phase::kOther);
       const IntTensor act_shards =
           ops::index_select(ctx.shard_of_tensor(), active);
       const IntTensor act_locals =
@@ -124,22 +122,27 @@ TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
       }
     }
 
+    // This iteration's time per phase, recorded once at its end: lap()
+    // charges the time since the previous lap to `phase`.
+    std::array<double, kNumPhases> phase_us{};
+    const auto lap = [&](Phase phase) {
+      phase_us[static_cast<std::size_t>(phase)] += wall.micros();
+      wall.reset();
+    };
+
     // Issue all remote fetches asynchronously.
+    wall.reset();
     std::vector<NeighborFetch> fetches(static_cast<std::size_t>(num_shards));
-    {
-      ScopedPhase phase(t, Phase::kRemoteFetch);
-      for (ShardId j = 0; j < num_shards; ++j) {
-        const auto& locals = locals_by_shard[static_cast<std::size_t>(j)];
-        if (j == storage.shard_id() || locals.empty()) continue;
-        fetches[static_cast<std::size_t>(j)] = storage.get_neighbor_infos_async(
-            j, locals.span(), FetchOptions{.compress = options.compress});
-      }
+    for (ShardId j = 0; j < num_shards; ++j) {
+      const auto& locals = locals_by_shard[static_cast<std::size_t>(j)];
+      if (j == storage.shard_id() || locals.empty()) continue;
+      fetches[static_cast<std::size_t>(j)] = storage.get_neighbor_infos_async(
+          j, locals.span(), FetchOptions{.compress = options.compress});
     }
     std::vector<NeighborBatch> batches(static_cast<std::size_t>(num_shards));
     if (!options.overlap) {
       // Wait for every response before local work so the breakdown
       // attributes time unambiguously (Fig. 6 protocol).
-      ScopedPhase phase(t, Phase::kRemoteFetch);
       for (ShardId j = 0; j < num_shards; ++j) {
         if (fetches[static_cast<std::size_t>(j)].valid()) {
           batches[static_cast<std::size_t>(j)] =
@@ -147,6 +150,7 @@ TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
         }
       }
     }
+    lap(Phase::kRemoteFetch);
 
     // Local fetch through the serialize/decode path: the tensor baseline
     // receives its local neighbor info wrapped in tensors, which is what
@@ -154,18 +158,15 @@ TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
     NeighborBatch local_batch;
     const auto& own_locals =
         locals_by_shard[static_cast<std::size_t>(storage.shard_id())];
-    {
-      ScopedPhase phase(t, Phase::kLocalFetch);
-      if (!own_locals.empty()) {
-        local_batch = storage.get_neighbor_infos_local_serialized(
-            own_locals.span(), FetchOptions{.compress = options.compress});
-      }
+    if (!own_locals.empty()) {
+      local_batch = storage.get_neighbor_infos_local_serialized(
+          own_locals.span(), FetchOptions{.compress = options.compress});
     }
+    lap(Phase::kLocalFetch);
 
     // Push one shard group with pure tensor kernels.
     const auto push_group = [&](const LongTensor& globals,
                                 const GroupTensors& g) {
-      ScopedPhase phase(t, Phase::kPush);
       const DoubleTensor rv = ops::index_select(r, globals);
       ops::index_fill(r, globals, 0.0);
 
@@ -194,29 +195,30 @@ TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
     };
 
     if (!own_locals.empty()) {
-      GroupTensors g;
-      {
-        ScopedPhase phase(t, Phase::kLocalFetch);
-        g = batch_to_tensors(local_batch, local_batch.size());
-      }
+      const GroupTensors g = batch_to_tensors(local_batch, local_batch.size());
+      lap(Phase::kLocalFetch);
       push_group(
           globals_by_shard[static_cast<std::size_t>(storage.shard_id())], g);
+      lap(Phase::kPush);
     }
     for (ShardId j = 0; j < num_shards; ++j) {
       const auto& locals = locals_by_shard[static_cast<std::size_t>(j)];
       if (j == storage.shard_id() || locals.empty()) continue;
       if (options.overlap) {
-        ScopedPhase phase(t, Phase::kRemoteFetch);
         batches[static_cast<std::size_t>(j)] =
             fetches[static_cast<std::size_t>(j)].wait();
       }
-      GroupTensors g;
-      {
-        ScopedPhase phase(t, Phase::kRemoteFetch);
-        g = batch_to_tensors(batches[static_cast<std::size_t>(j)],
-                             batches[static_cast<std::size_t>(j)].size());
-      }
+      const GroupTensors g =
+          batch_to_tensors(batches[static_cast<std::size_t>(j)],
+                           batches[static_cast<std::size_t>(j)].size());
+      lap(Phase::kRemoteFetch);
       push_group(globals_by_shard[static_cast<std::size_t>(j)], g);
+      lap(Phase::kPush);
+    }
+    for (const Phase phase :
+         {Phase::kLocalFetch, Phase::kRemoteFetch, Phase::kPush}) {
+      pipeline_phase_histogram(phase).record(
+          phase_us[static_cast<std::size_t>(phase)]);
     }
   }
   res.ppr = p.take();

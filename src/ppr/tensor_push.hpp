@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "storage/dist_storage.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -75,14 +74,13 @@ class TensorPushContext {
   std::vector<IntTensor> global_of_;
 };
 
-/// Run one whole-graph SSPPR query with the tensor baseline.
-/// `timers`, if given, accumulates the Fig.-6 breakdown (kPop = activated
-/// scan, kLocalFetch, kRemoteFetch, kPush = dense update; per-shard mask
-/// construction lands in kOther).
+/// Run one whole-graph SSPPR query with the tensor baseline. Each
+/// iteration records the Fig.-6 breakdown once into the registry's
+/// `pipeline.phase_us` (pop = activated scan, local_fetch, remote_fetch,
+/// push = dense update); the per-shard mask construction is left untimed.
 TensorPushResult tensor_forward_push(const DistGraphStorage& storage,
                                      const TensorPushContext& ctx,
                                      NodeId source_global,
-                                     const TensorPushOptions& options,
-                                     PhaseTimers* timers = nullptr);
+                                     const TensorPushOptions& options);
 
 }  // namespace ppr

@@ -13,7 +13,6 @@ obs::Histogram& pipeline_phase_histogram(Phase phase) {
   static obs::Histogram* const hists[] = {
       make(Phase::kPop), make(Phase::kLocalFetch), make(Phase::kRemoteFetch),
       make(Phase::kPush)};
-  GE_CHECK(phase != Phase::kOther, "no batched path has the other phase");
   return *hists[static_cast<int>(phase)];
 }
 
@@ -139,9 +138,8 @@ void FetchPipeline::resolve_remote_shard(std::size_t j, const Plan& plan) {
   }
 }
 
-void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
+void FetchPipeline::execute(const Plan& plan,
                             const std::function<void()>& local_work) {
-  PhaseTimers& t = timers != nullptr ? *timers : timers_;
   const auto ns = union_locals_.size();
   const auto self = static_cast<std::size_t>(storage_.shard_id());
   ++stats_.rounds;
@@ -153,7 +151,6 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
 
   // --- Split by residency and issue at most one RPC per remote shard. ---
   {
-    ScopedPhase phase(t, Phase::kRemoteFetch);
     WallTimer wall;
     for (std::size_t j = 0; j < ns; ++j) {
       stats_.rows_requested += union_locals_[j].size();
@@ -164,7 +161,6 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
   }
 
   const auto wait_all = [&] {
-    ScopedPhase phase(t, Phase::kRemoteFetch);
     WallTimer wall;
     for (std::size_t j = 0; j < ns; ++j) {
       // Decode into the round-recycled batch so steady-state rounds reuse
@@ -179,7 +175,6 @@ void FetchPipeline::execute(const Plan& plan, PhaseTimers* timers,
 
   // --- Resolve the self-shard union through shared memory. --------------
   if (!union_locals_[self].empty()) {
-    ScopedPhase phase(t, Phase::kLocalFetch);
     WallTimer wall;
     // The pinned snapshot serves (clean rows are zero-copy base views).
     resolved_[self] = snapshot_->get_neighbor_infos(union_locals_[self]);

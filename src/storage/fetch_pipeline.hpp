@@ -48,20 +48,6 @@ enum class RowSource : std::uint8_t {
   kRemote = 3,  // arrived over the wire this round
 };
 
-inline const char* row_source_name(RowSource s) {
-  switch (s) {
-    case RowSource::kLocal:
-      return "local";
-    case RowSource::kHalo:
-      return "halo";
-    case RowSource::kCache:
-      return "cache";
-    case RowSource::kRemote:
-      return "remote";
-  }
-  return "?";
-}
-
 /// Cumulative split accounting across every executed round. For each
 /// round, rows_local + rows_halo + rows_cached + rows_wire ==
 /// rows_requested (the cascade partitions the request set).
@@ -92,23 +78,15 @@ struct FetchPipelineStats {
   obs::Counter rows_wire;    // rows actually fetched over RPC
   obs::Counter rpcs_issued;  // at most one per remote shard per round
 
-  void reset() {
-    rounds = 0;
-    rows_requested = 0;
-    rows_local = 0;
-    rows_halo = 0;
-    rows_cached = 0;
-    rows_wire = 0;
-    rpcs_issued = 0;
-  }
-
  private:
   std::vector<obs::Registration> regs_;
 };
 
-/// `pipeline.phase_us{phase=...}`: wall time of one resolution round per
-/// phase — local_fetch and remote_fetch recorded by FetchPipeline::execute,
-/// pop and push by the batch driver. Phase::kOther has no series.
+/// `pipeline.phase_us{phase=...}`: the one phase clock, in integer µs.
+/// Each driver records each phase once per round: FetchPipeline::execute
+/// its local_fetch and remote_fetch, run_ssppr_batch its pop pass and the
+/// round's push fan-outs, the Single ablation (run_ssppr) and the tensor
+/// baseline all four from their own loops.
 obs::Histogram& pipeline_phase_histogram(Phase phase);
 
 /// Round-recycled resolution engine bound to one DistGraphStorage (one
@@ -163,9 +141,9 @@ class FetchPipeline {
   /// non-null, runs while remote responses are in flight (under
   /// `plan.overlap`; without it, after all responses arrived) — by then
   /// own-shard, halo, and cache rows are already resolved and readable
-  /// through row()/source(). Phase time lands in `timers` when given,
-  /// else in the pipeline's own timers().
-  void execute(const Plan& plan, PhaseTimers* timers = nullptr,
+  /// through row()/source(). Records this round's local_fetch and
+  /// remote_fetch into pipeline_phase_histogram().
+  void execute(const Plan& plan,
                const std::function<void()>& local_work = nullptr);
 
   /// Resolved neighbor row view. Valid until the next begin_round();
@@ -180,10 +158,6 @@ class FetchPipeline {
   }
 
   const FetchPipelineStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
-  /// Pop/local-fetch/remote-fetch/push accumulators used when execute()
-  /// is called without an external PhaseTimers.
-  const PhaseTimers& timers() const { return timers_; }
 
  private:
   void resolve_remote_shard(std::size_t j, const Plan& plan);
@@ -211,7 +185,6 @@ class FetchPipeline {
   std::shared_ptr<const ShardSnapshot> snapshot_;
 
   FetchPipelineStats stats_;
-  PhaseTimers timers_;
 };
 
 }  // namespace ppr

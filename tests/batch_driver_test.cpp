@@ -187,26 +187,52 @@ TEST_F(BatchDriverFixture, SingleQueryBatchMatchesComputeSsppr) {
   EXPECT_EQ(states[0].num_pushes(), ref.num_pushes());
 }
 
-// Every registered `pipeline.phase_us` series is fed by one batch run:
-// local and remote fetch by the pipeline, pop and push by the driver.
+// Every registered `pipeline.phase_us` series is fed by both drivers — in
+// a batch run local and remote fetch by the pipeline, pop and push by the
+// driver; in the Single ablation all four by run_ssppr — and the phases,
+// timed once each, never add up to more than the call. Each record rounds
+// to integer µs, so the bound allows 0.5 µs per record.
 TEST_F(BatchDriverFixture, EveryPipelinePhaseSeriesIsFed) {
   auto cluster = make_cluster(false, 0);
   const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
-  std::vector<SspprState> states;
-  for (const NodeRef src : pick_sources(*cluster, 0, 4)) {
-    states.emplace_back(src, ppr);
+  const auto sources = pick_sources(*cluster, 0, 4);
+  const auto expect_fed = [&](const auto& run) {
+    std::vector<SspprState> states;
+    for (const NodeRef src : sources) states.emplace_back(src, ppr);
+    auto& registry = obs::MetricRegistry::global();
+    const obs::MetricsSnapshot before = registry.snapshot();
+    WallTimer wall;
+    run(states);
+    const double call_us = wall.micros();
+    const obs::MetricsSnapshot delta =
+        registry.snapshot().delta_since(before);
+    std::size_t series = 0;
+    double phase_us = 0;
+    double records = 0;
+    for (const auto& e : delta.entries) {
+      if (e.name != "pipeline.phase_us") continue;
+      ++series;
+      EXPECT_GT(e.hist.count, 0u) << e.key;
+      phase_us += static_cast<double>(e.hist.sum);
+      records += static_cast<double>(e.hist.count);
+    }
+    EXPECT_EQ(series, 4u);  // pop, local_fetch, remote_fetch, push
+    EXPECT_LE(phase_us, call_us + 0.5 * records);
+  };
+  {
+    SCOPED_TRACE("batch");
+    expect_fed([&](std::vector<SspprState>& states) {
+      run_ssppr_batch(cluster->storage(0), states, DriverOptions{});
+    });
   }
-  auto& registry = obs::MetricRegistry::global();
-  const obs::MetricsSnapshot before = registry.snapshot();
-  run_ssppr_batch(cluster->storage(0), states, DriverOptions{});
-  const obs::MetricsSnapshot delta = registry.snapshot().delta_since(before);
-  std::size_t series = 0;
-  for (const auto& e : delta.entries) {
-    if (e.name != "pipeline.phase_us") continue;
-    ++series;
-    EXPECT_GT(e.hist.count, 0u) << e.key;
+  {
+    SCOPED_TRACE("single");
+    expect_fed([&](std::vector<SspprState>& states) {
+      for (SspprState& state : states) {
+        run_ssppr(cluster->storage(0), state, DriverOptions::single());
+      }
+    });
   }
-  EXPECT_EQ(series, 4u);  // pop, local_fetch, remote_fetch, push
 }
 
 // Single (batch = false) is run_ssppr's ablation only: the batch driver

@@ -29,6 +29,7 @@
 
 #include "cluster/client.hpp"
 #include "cluster/config.hpp"
+#include "cluster/query_wire.hpp"
 #include "cluster/shard_map.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -188,6 +189,73 @@ TEST(ShardMapSuite, EncodeDecodeRoundTrip) {
   const ShardMap decoded = ShardMap::decode(r);
   EXPECT_EQ(decoded, map);
   EXPECT_EQ(decoded.fingerprint(), map.fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// Query-plane codecs (pure)
+
+// The query plane decodes bytes from any mesh client (mutate requests land
+// on node 0). A count or string length the payload cannot hold is rejected
+// as InvalidArgument before anything is reserved for it, and every
+// truncation of a well-formed payload is a typed EngineError.
+TEST(QueryWire, DecodersRejectHostileCountsAndTruncation) {
+  using namespace cluster;
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 24}) {
+    SCOPED_TRACE(count);
+    ByteWriter ssppr;  // status, num_pushes, count, one entry
+    ssppr.write<std::uint8_t>(0);
+    ssppr.write<std::uint64_t>(7);
+    ssppr.write<std::uint64_t>(count);
+    ssppr.write<std::int64_t>(1);
+    ssppr.write<double>(0.5);
+    EXPECT_THROW(decode_ssppr_reply(ssppr.bytes()), InvalidArgument);
+    ByteWriter bfs;  // num_levels, count, one entry
+    bfs.write<std::uint64_t>(1);
+    bfs.write<std::uint64_t>(count);
+    bfs.write<std::int64_t>(1);
+    bfs.write<std::int32_t>(0);
+    EXPECT_THROW(decode_bfs_reply(bfs.bytes()), InvalidArgument);
+    ByteWriter load;  // count, one entry
+    load.write<std::uint64_t>(count);
+    load.write<std::int32_t>(0);
+    load.write<std::uint64_t>(3);
+    EXPECT_THROW(decode_shard_load_reply(load.bytes()), InvalidArgument);
+    ByteWriter mutate;  // count, one op
+    mutate.write<std::uint64_t>(count);
+    mutate.write<std::int64_t>(0);
+    mutate.write<std::int64_t>(1);
+    mutate.write<float>(1.0f);
+    mutate.write<std::uint8_t>(1);
+    EXPECT_THROW(decode_mutate_request(mutate.bytes()), InvalidArgument);
+  }
+  // A length of 2^64 - 4 read at offset 8 wraps `pos + n` to 4.
+  ByteWriter text;
+  text.write<std::uint64_t>(~std::uint64_t{0} - 3);
+  text.write<std::uint32_t>(0);
+  EXPECT_THROW(decode_text_reply(text.bytes()), InvalidArgument);
+
+  SspprReply reply;
+  reply.num_pushes = 42;
+  reply.entries = {{3, 0.25}, {9, 0.5}};
+  const std::vector<std::uint8_t> reply_bytes = encode_ssppr_reply(reply);
+  ASSERT_EQ(decode_ssppr_reply(reply_bytes).entries, reply.entries);
+  MutateRequest request;
+  request.ops = {{1, 2, 1.0f, true}, {3, 4, 0.5f, false}};
+  const std::vector<std::uint8_t> request_bytes =
+      encode_mutate_request(request);
+  ASSERT_EQ(decode_mutate_request(request_bytes).ops.size(), 2u);
+  for (std::size_t len = 0; len < reply_bytes.size(); ++len) {
+    EXPECT_THROW(decode_ssppr_reply(std::span(reply_bytes).first(len)),
+                 EngineError)
+        << len;
+  }
+  for (std::size_t len = 0; len < request_bytes.size(); ++len) {
+    EXPECT_THROW(decode_mutate_request(std::span(request_bytes).first(len)),
+                 EngineError)
+        << len;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 
 namespace ppr {
 namespace {
@@ -159,41 +158,6 @@ TEST(ArgParse, ParsesFlagsAndPositionals) {
   EXPECT_EQ(args.get_int("missing", 9), 9);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
-}
-
-TEST(Timer, PhaseTimersAccumulate) {
-  PhaseTimers t;
-  t.add(Phase::kPush, 0.5);
-  t.add(Phase::kPush, 0.25);
-  t.add(Phase::kLocalFetch, 1.0);
-  EXPECT_NEAR(t.seconds(Phase::kPush), 0.75, 1e-9);
-  EXPECT_NEAR(t.seconds(Phase::kLocalFetch), 1.0, 1e-9);
-  EXPECT_NEAR(t.total_seconds(), 1.75, 1e-9);
-  t.reset();
-  EXPECT_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(Timer, ScopedPhaseAddsElapsed) {
-  PhaseTimers t;
-  {
-    ScopedPhase phase(t, Phase::kRemoteFetch);
-    WallTimer w;
-    while (w.micros() < 1000) {
-    }
-  }
-  EXPECT_GT(t.seconds(Phase::kRemoteFetch), 0.0005);
-}
-
-TEST(Timer, PhaseTimersThreadSafe) {
-  PhaseTimers t;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&t] {
-      for (int k = 0; k < 1000; ++k) t.add(Phase::kPush, 0.001);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_NEAR(t.seconds(Phase::kPush), 8.0, 1e-6);
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {

@@ -211,7 +211,7 @@ TEST_F(FetchPipelineFixture, OverlapHookRunsWithPreResolvedRows) {
   pipeline.add(storage.shard_id(), 0);
   pipeline.add(storage.shard_id(), 1);
   bool ran = false;
-  pipeline.execute({/*compress=*/true, /*overlap=*/true}, nullptr, [&] {
+  pipeline.execute({/*compress=*/true, /*overlap=*/true}, [&] {
     // Own-shard rows are already resolved inside the hook.
     EXPECT_EQ(pipeline.source(storage.shard_id(), 0), RowSource::kLocal);
     EXPECT_EQ(pipeline.row(storage.shard_id(), 0).degree(),

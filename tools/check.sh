@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification under sanitizers: for each requested configuration,
 # configures a separate build-<san>san tree with -DGE_SANITIZE=<san>,
-# builds the test suite, and runs it.
+# builds the test suite, and runs it. Every configuration builds with
+# -Werror, so a new compiler warning fails the sweep.
 #
 # Usage: tools/check.sh [sanitizer ...]
 #   tools/check.sh                      # address, undefined, thread (default)
@@ -24,7 +25,7 @@ for SANITIZER in "${SANITIZERS[@]}"; do
   BUILD="${ROOT}/build-$(echo "${SANITIZER}" | tr ',' '-')san"
   echo "=== ${SANITIZER}: ${BUILD} ==="
   cmake -S "${ROOT}" -B "${BUILD}" -DGE_SANITIZE="${SANITIZER}" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror
   cmake --build "${BUILD}" -j"$(nproc)"
   ctest --test-dir "${BUILD}" --output-on-failure -j"$(nproc)"
   case "${SANITIZER}" in
