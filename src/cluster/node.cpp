@@ -44,7 +44,7 @@ ClusterNode::ClusterNode(ClusterConfig config, int node_id,
   // advances on the version announcement.
   machine_ = std::make_unique<Machine>(
       transport_, node_id_, shard_map,
-      std::make_shared<VersionTracker>(shards), sharded_.mapping,
+      std::make_shared<VersionTracker>(sharded_.mapping), sharded_.mapping,
       MachineConfig{config_.server_threads, config_.adjacency_cache_rows,
                     RetryPolicy{config_.rpc_timeout_s,
                                 config_.rpc_max_attempts,
@@ -339,13 +339,9 @@ std::vector<std::uint8_t> ClusterNode::handle_compact(
 }
 
 void ClusterNode::handle_version_announce(const VersionAnnounce& a) {
-  // Shard marks BEFORE the publish — the tracker's required order (a
-  // reader resolving at the new version must see the invalidation marks).
-  VersionTracker& tracker = machine_->tracker();
-  for (const ShardId shard : a.shards) {
-    tracker.note_shard_mutation(shard, a.version);
-  }
-  tracker.publish(a.version);
+  // The tracker notes the rows before it publishes, drops a late or
+  // repeated announce, and after a missed one counts every row as changed.
+  machine_->tracker().publish(a.version, a.shards);
 }
 
 void ClusterNode::rebalancer_loop() {
@@ -442,7 +438,8 @@ std::vector<std::uint8_t> ClusterNode::handle_query(
     return handle_compact(decode_shard_admin(payload));
   }
   if (method == kMethodVersionAnnounce) {
-    handle_version_announce(decode_version_announce(payload));
+    handle_version_announce(
+        decode_version_announce(payload, sharded_.mapping));
     return {};
   }
   if (method == kMethodGraphVersion) {

@@ -246,15 +246,31 @@ MutateReply decode_mutate_reply(std::span<const std::uint8_t> p) {
 std::vector<std::uint8_t> encode_version_announce(const VersionAnnounce& a) {
   ByteWriter w;
   w.write<std::uint64_t>(a.version);
-  w.write_vec(a.shards);
+  w.write<std::uint64_t>(a.shards.size());
+  for (const ShardRows& s : a.shards) {
+    w.write<std::int32_t>(s.shard);
+    w.write_vec(s.rows);
+  }
   return std::move(w).take();
 }
 
-VersionAnnounce decode_version_announce(std::span<const std::uint8_t> p) {
+VersionAnnounce decode_version_announce(std::span<const std::uint8_t> p,
+                                        const GlobalMapping& mapping) {
   ByteReader r(p);
   VersionAnnounce out;
   out.version = r.read<std::uint64_t>();
-  out.shards = r.read_vec<ShardId>();
+  const auto n = read_count(r, sizeof(std::int32_t) + sizeof(std::uint64_t));
+  out.shards.resize(static_cast<std::size_t>(n));
+  for (ShardRows& s : out.shards) {
+    s.shard = r.read<std::int32_t>();
+    GE_REQUIRE(s.shard >= 0 && s.shard < mapping.num_shards(),
+               "announced shard out of range");
+    r.read_vec_into(s.rows);  // count checked against the bytes left
+    const NodeId rows = mapping.num_core_nodes(s.shard);
+    for (const NodeId row : s.rows) {
+      GE_REQUIRE(row >= 0 && row < rows, "announced row out of range");
+    }
+  }
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "cluster/shard_map.hpp"
 #include "graph/generators.hpp"
 #include "storage/shard.hpp"
+#include "storage/versioned_shard.hpp"
 
 namespace ppr::cluster {
 
@@ -62,7 +63,7 @@ inline constexpr const char* kMethodMutateEdges = "mutate_edges";
 /// reply is empty.
 inline constexpr const char* kMethodCompactShard = "compact_shard";
 /// Internal (coordinator → peer): payload is a VersionAnnounce; the
-/// receiver marks the mutated shards and publishes the version on its
+/// receiver notes the changed rows and publishes the version on its
 /// local tracker so freshly admitted queries pin the new snapshot. Sent
 /// BEFORE the coordinator replies to the client, so a follow-up query to
 /// any node observes the mutation. Reply is empty.
@@ -134,12 +135,14 @@ struct MutateReply {
   std::uint64_t version = 0;
 };
 
-/// Coordinator → peer version publication: `shards` lists the shards
-/// mutated at `version` (the receiver calls note_shard_mutation for each
-/// before publishing — the tracker's required order).
+/// Coordinator → peer version publication (protocol v4): each shard
+/// mutated at `version` with the rows its batch changed. The receiver
+/// notes the rows before publishing — the tracker's required order. A
+/// receiver whose published version is below `version` − 1 missed an
+/// announce and notes every row instead (DESIGN.md §15).
 struct VersionAnnounce {
   std::uint64_t version = 0;
-  std::vector<ShardId> shards;
+  std::vector<ShardRows> shards;
 };
 
 std::vector<std::uint8_t> encode_ssppr_request(const SspprRequest& r);
@@ -177,7 +180,12 @@ MutateRequest decode_mutate_request(std::span<const std::uint8_t> p);
 std::vector<std::uint8_t> encode_mutate_reply(const MutateReply& r);
 MutateReply decode_mutate_reply(std::span<const std::uint8_t> p);
 std::vector<std::uint8_t> encode_version_announce(const VersionAnnounce& a);
-VersionAnnounce decode_version_announce(std::span<const std::uint8_t> p);
+/// Every shard id and row is range-checked against `mapping` (and every
+/// count against the bytes left) before the announce is returned, so a
+/// hostile frame is rejected with InvalidArgument before anything is
+/// noted.
+VersionAnnounce decode_version_announce(std::span<const std::uint8_t> p,
+                                        const GlobalMapping& mapping);
 /// graph_version reply: just the u64.
 std::vector<std::uint8_t> encode_version_reply(std::uint64_t version);
 std::uint64_t decode_version_reply(std::span<const std::uint8_t> p);

@@ -17,7 +17,7 @@ Cluster::Cluster(const Graph& g, const PartitionAssignment& assignment,
   // One tracker for the whole simulated cluster: machines share the
   // process, so a mutation published anywhere is visible to every
   // machine's pin resolution at its next admission.
-  tracker_ = std::make_shared<VersionTracker>(k);
+  tracker_ = std::make_shared<VersionTracker>(sharded_.mapping);
   const MachineConfig config{options_.server_threads,
                              options_.adjacency_cache_rows, RetryPolicy{}};
   published_ = ShardMap::identity(k);

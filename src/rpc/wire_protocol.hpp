@@ -26,7 +26,9 @@ namespace ppr {
 // v3: one 20-byte storage header [shard, routing epoch, graph version]
 // with the graph version always concrete; v2's 12-byte header and its
 // flagged versioned form are gone.
-inline constexpr std::uint16_t kClusterProtocolVersion = 3;
+// v4: the version announce carries each mutated shard's changed rows, so
+// peers gate their halo and adjacency cache per row.
+inline constexpr std::uint16_t kClusterProtocolVersion = 4;
 
 /// "GEN1" little-endian — rejects random port scanners and non-cluster
 /// peers before any field is interpreted.

@@ -6,6 +6,12 @@
 // serve later iterations and later queries of the batch without another
 // remote round-trip (the SALIENT++-style frequency caching direction).
 //
+// Entries are tagged per row with the row's last-mutation version
+// (DESIGN.md §15), so a write invalidates only the rows it changed. A row
+// re-fetched because its halo copy went stale is inserted non-evictable:
+// it sits beside the CLOCK slots, outside the capacity, until a version
+// bump erases it — the halo's key set bounds those entries.
+//
 // Thread safety: one spinlock guards the index and the slot arrays; hits
 // are *copied out* into a caller-owned CachedRowArena under the lock, so a
 // concurrent eviction can never invalidate a row another computing process
@@ -15,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +56,8 @@ struct AdjacencyCacheStats {
   obs::Counter misses;
   obs::Counter insertions;
   obs::Counter evictions;
-  /// Entries dropped because the shard's graph version moved past the
-  /// version they were filled at (DESIGN.md §15 invalidation contract).
+  /// Entries dropped because their row was mutated after the version they
+  /// were filled at (DESIGN.md §15 invalidation contract).
   obs::Counter version_invalidations;
 
   void reset() {
@@ -83,13 +90,9 @@ class CachedRowArena {
 
   std::size_t num_rows() const { return src_weighted_deg_.size(); }
 
-  std::size_t append_row(std::span<const NodeId> locals,
-                         std::span<const ShardId> shards,
-                         std::span<const float> weights,
-                         std::span<const float> nbr_wdeg,
-                         std::span<const NodeId> globals, float src_wdeg) {
-    open_row(VertexProp{locals, shards, weights, nbr_wdeg, globals, src_wdeg});
-    return close_row(src_wdeg);
+  std::size_t append_row(const VertexProp& row) {
+    open_row(row);
+    return close_row(row.weighted_degree);
   }
 
   /// In-place row building (the versioned store's merged rows): open a
@@ -171,12 +174,13 @@ class CachedRowArena {
 
 class AdjacencyCache {
  public:
-  /// `capacity_rows`: maximum number of cached neighbor rows; above it the
+  /// `capacity_rows`: maximum number of evictable rows; above it the
   /// CLOCK hand evicts the first row whose reference bit is clear.
   /// `shard` labels the registry-attached counters (< 0 = unregistered).
   explicit AdjacencyCache(std::size_t capacity_rows, ShardId shard = -1);
 
   std::size_t capacity() const { return slots_.size(); }
+  /// Resident rows, non-evictable ones included.
   std::size_t size() const;
 
   /// Probe `<locals[i], dst>` for every i. Hits are copied into `arena`
@@ -184,63 +188,88 @@ class AdjacencyCache {
   /// `locals`); misses land in miss_locals/miss_indices. Output vectors
   /// are cleared first.
   ///
-  /// Version contract (DESIGN.md §15): `shard_last_mut` is shard `dst`'s
-  /// last-mutation version L (0 = never mutated) and `graph_version` the
-  /// reader's pin. An entry tagged with a version other than L was filled
-  /// before the shard last changed — it is ERASED (counted as a
-  /// version_invalidation) so the refill re-caches current data. An
-  /// entry tagged L serves a reader pinned at V ≥ L (the row cannot have
-  /// changed in (L, V]); a reader pinned BEFORE L misses without erasing,
-  /// since the entry is still right for newer readers. The defaults
-  /// (L = 0, pin = 0) describe a never-mutated graph.
+  /// Version contract (DESIGN.md §15): `row_last_mut[i]` is the
+  /// last-mutation version L of row `<locals[i], dst>` (0 = never
+  /// mutated; an empty span means no row ever mutated) and
+  /// `graph_version` the reader's pin. An entry tagged with a version
+  /// other than L was filled before the row last changed — it is ERASED
+  /// (counted as a version_invalidation) so the refill re-caches current
+  /// data. An entry tagged L serves a reader pinned at V ≥ L (the row
+  /// cannot have changed in (L, V]); a reader pinned BEFORE L misses
+  /// without erasing, since the entry is still right for newer readers.
   void lookup(ShardId dst, std::span<const NodeId> locals,
               CachedRowArena& arena, std::vector<std::size_t>& hit_indices,
               std::vector<std::size_t>& hit_rows,
               std::vector<NodeId>& miss_locals,
               std::vector<std::size_t>& miss_indices,
-              std::uint64_t shard_last_mut = 0,
+              std::span<const std::uint64_t> row_last_mut = {},
               std::uint64_t graph_version = 0);
 
-  /// Insert one row for `<local, dst>` (no-op if already resident, beyond
-  /// refreshing its reference bit). The row was fetched pinned at
-  /// `graph_version`; it is cached (tagged with `shard_last_mut`) only
-  /// when that pin proves it current — i.e. pin ≥ last mutation. Rows
-  /// fetched through an old pin are simply not cached.
+  /// Insert one row for `<local, dst>` (no-op if already resident with
+  /// the same tag, beyond refreshing its reference bit; a resident entry
+  /// with another tag is refilled in place). The row was fetched pinned
+  /// at `graph_version`; it is cached (tagged with its last-mutation
+  /// version `row_last_mut`) only when that pin proves it current — pin
+  /// ≥ L. Rows fetched through an old pin are simply not cached. A row
+  /// first inserted with `evictable` false never leaves through CLOCK,
+  /// only through a version bump.
   void insert(ShardId dst, NodeId local, const VertexProp& row,
-              std::uint64_t shard_last_mut = 0,
-              std::uint64_t graph_version = 0);
+              std::uint64_t row_last_mut = 0,
+              std::uint64_t graph_version = 0, bool evictable = true);
 
   const AdjacencyCacheStats& stats() const { return stats_; }
   AdjacencyCacheStats& stats() { return stats_; }
 
  private:
+  static_assert(std::is_same_v<NodeId, ShardId>,
+                "a slot packs local, shard and global ids in one array");
+
+  /// One cached row in two allocations: `ids` holds the neighbors' local
+  /// ids, shard ids and global ids back to back; `floats` the edge
+  /// weights, then the neighbors' weighted degrees. A machine can hold
+  /// tens of thousands of rows (a refreshed halo stays resident), so the
+  /// per-row overhead is kept to two blocks.
   struct Slot {
     std::uint64_t key = 0;
-    bool used = false;
     std::uint8_t referenced = 0;  // CLOCK second-chance bit
-    // Shard's last-mutation version when the row was filled; a later
-    // mutation bumps the shard past this tag and the entry self-erases
-    // on its next probe.
+    // Row's last-mutation version when it was filled; a later mutation
+    // of the row moves it past this tag and the entry self-erases on its
+    // next probe.
     std::uint64_t version_tag = 0;
     float weighted_degree = 0;
-    std::vector<NodeId> nbr_local_ids;
-    std::vector<ShardId> nbr_shard_ids;
-    std::vector<float> edge_weights;
-    std::vector<float> nbr_weighted_deg;
-    std::vector<NodeId> nbr_global_ids;
+    std::vector<NodeId> ids;
+    std::vector<float> floats;
+
+    void fill(const VertexProp& row);
+    VertexProp row() const;
   };
 
-  /// Pick the victim slot: first unused slot, else advance the CLOCK hand
-  /// until a slot with a clear reference bit comes up. Caller holds lock_.
-  std::size_t victim_slot();
+  using Index = std::unordered_map<std::uint64_t, std::uint32_t>;
+  /// Index values with this bit set name fixed_ slots (non-evictable).
+  static constexpr std::uint32_t kFixedBit = 0x80000000u;
+
+  Slot& slot_at(std::uint32_t idx) {
+    return (idx & kFixedBit) != 0 ? fixed_[idx & ~kFixedBit] : slots_[idx];
+  }
+  /// Pick the slot for a new evictable row: a freed slot, else a never
+  /// used one, else advance the CLOCK hand until a slot with a clear
+  /// reference bit comes up. Caller holds lock_.
+  std::uint32_t victim_slot();
+  /// A fixed_ slot for a new non-evictable row. Caller holds lock_.
+  std::uint32_t fixed_slot();
+  /// Drop an entry and free its slot. Caller holds lock_.
+  void erase(Index::iterator it);
 
   mutable Spinlock lock_;
   // The index needs per-key erase on eviction, which the repo's FlatMap
   // deliberately omits (the PPR maps never erase), so the cache keeps a
   // plain unordered_map — this is not the operator hot path.
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  std::vector<Slot> slots_;
-  std::size_t used_slots_ = 0;
+  Index index_;
+  std::vector<Slot> slots_;  // the CLOCK ring, `capacity` slots
+  std::size_t used_slots_ = 0;  // slots_ ever handed out
+  std::vector<std::uint32_t> free_slots_;  // erased CLOCK slots
+  std::vector<Slot> fixed_;  // non-evictable rows
+  std::vector<std::uint32_t> free_fixed_;  // erased fixed_ slots
   std::size_t hand_ = 0;
   AdjacencyCacheStats stats_;
   obs::Gauge resident_rows_;  // registry view of size()

@@ -171,12 +171,18 @@ NeighborBatch DistGraphStorage::get_neighbor_infos_local_serialized(
 }
 
 DistGraphStorage::HaloSplit DistGraphStorage::split_by_halo_cache(
-    ShardId dst, std::span<const NodeId> locals) const {
+    ShardId dst, std::span<const NodeId> locals,
+    std::uint64_t graph_version) const {
   GE_REQUIRE(dst != shard_id_, "split is for remote shards");
   HaloSplit split;
   for (std::size_t i = 0; i < locals.size(); ++i) {
-    const auto prop =
-        local_shard_->halo_vertex_prop(NodeRef{locals[i], dst});
+    auto prop = local_shard_->halo_vertex_prop(NodeRef{locals[i], dst});
+    if (prop.has_value()) {
+      // The copy is the row at version 0: stale once the row was first
+      // mutated at or before the pin.
+      const std::uint64_t first = tracker_->first_mutation(dst, locals[i]);
+      if (first != 0 && first <= graph_version) prop.reset();
+    }
     if (prop.has_value()) {
       split.hit_props.push_back(*prop);
       split.hit_indices.push_back(i);
@@ -208,9 +214,13 @@ DistGraphStorage::AdjacencySplit DistGraphStorage::split_by_adjacency_cache(
     for (std::size_t i = 0; i < locals.size(); ++i) split.miss_indices[i] = i;
     return split;
   }
+  std::vector<std::uint64_t> last_mut(locals.size());
+  for (std::size_t i = 0; i < locals.size(); ++i) {
+    last_mut[i] = tracker_->last_mutation(dst, locals[i]);
+  }
   adj_cache_->lookup(dst, locals, arena, split.hit_indices, split.hit_rows,
-                     split.miss_locals, split.miss_indices,
-                     shard_last_mutation(dst), graph_version);
+                     split.miss_locals, split.miss_indices, last_mut,
+                     graph_version);
   // Cache hits count as locally served traversal, like halo hits.
   stats_.local_nodes.fetch_add(split.hit_indices.size(),
                                std::memory_order_relaxed);
@@ -223,9 +233,12 @@ void DistGraphStorage::insert_adjacency_rows(
   if (adj_cache_ == nullptr) return;
   GE_REQUIRE(locals.size() == rows.size(),
              "adjacency insert size mismatch");
-  const std::uint64_t last_mut = shard_last_mutation(dst);
   for (std::size_t t = 0; t < locals.size(); ++t) {
-    adj_cache_->insert(dst, locals[t], rows[t], last_mut, graph_version);
+    const bool in_halo =
+        local_shard_->halo_vertex_prop(NodeRef{locals[t], dst}).has_value();
+    adj_cache_->insert(dst, locals[t], rows[t],
+                       tracker_->last_mutation(dst, locals[t]),
+                       graph_version, /*evictable=*/!in_halo);
   }
 }
 

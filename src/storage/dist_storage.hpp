@@ -6,6 +6,12 @@
 // store (zero-copy VertexProp views for clean rows), remote fetches issue
 // asynchronous RPC requests whose header carries the pin and decode the
 // response into a NeighborBatch exposing the same VertexProp API.
+//
+// The halo and adjacency-cache splits judge each row by the process
+// tracker's per-row mutation versions, so a write invalidates only the
+// rows it touched: a halo copy serves while its row is unmutated at the
+// pin, and a cache entry serves while its tag equals its row's last
+// mutation.
 #pragma once
 
 #include <chrono>
@@ -252,15 +258,6 @@ class DistGraphStorage {
   VersionedShardStore& local_store() const { return *local_store_; }
   const VersionTracker& version_tracker() const { return *tracker_; }
 
-  /// True when the local halo copies of shard `dst` rows (filled at
-  /// version 0) are still valid under pin `graph_version`: the shard was
-  /// never mutated, or the pin predates its first mutation. Otherwise the
-  /// halo is skipped and the rows read through the owner's snapshot.
-  bool halo_valid_at(ShardId dst, std::uint64_t graph_version) const {
-    const std::uint64_t first = tracker_->first_mutation(dst);
-    return first == 0 || graph_version < first;
-  }
-
   /// True when the local shard carries the halo-adjacency cache (see
   /// GraphShard), letting first-hop "remote" requests be served locally.
   bool halo_cache_enabled() const {
@@ -269,16 +266,19 @@ class DistGraphStorage {
 
   /// Partition a request destined for shard `dst` by halo-cache
   /// residency: `hit_*` entries are served zero-copy from the local halo
-  /// cache; `miss_*` entries still need the RPC. Indices refer to
-  /// positions in `locals`.
+  /// cache; `miss_*` entries still need the adjacency cache or the RPC.
+  /// Indices refer to positions in `locals`. A halo row is a version-0
+  /// copy, so it hits only while the reader's pin `graph_version`
+  /// predates the row's first mutation (the tracker's per-row note); a
+  /// row first mutated at or before the pin misses.
   struct HaloSplit {
     std::vector<VertexProp> hit_props;
     std::vector<std::size_t> hit_indices;
     std::vector<NodeId> miss_locals;
     std::vector<std::size_t> miss_indices;
   };
-  HaloSplit split_by_halo_cache(ShardId dst,
-                                std::span<const NodeId> locals) const;
+  HaloSplit split_by_halo_cache(ShardId dst, std::span<const NodeId> locals,
+                                std::uint64_t graph_version) const;
 
   /// Attach a bounded CLOCK-evicted adjacency cache (see AdjacencyCache)
   /// shared by every computing process of this machine. Rows fetched over
@@ -307,9 +307,9 @@ class DistGraphStorage {
     std::vector<NodeId> miss_locals;
     std::vector<std::size_t> miss_indices;
   };
-  /// `graph_version` is the calling query's (concrete) pin; the shard's
-  /// last-mutation version from the tracker decides entry validity — see
-  /// AdjacencyCache::lookup's version contract.
+  /// `graph_version` is the calling query's (concrete) pin; each row's
+  /// last-mutation version from the tracker decides its entry's validity
+  /// — see AdjacencyCache::lookup's version contract.
   AdjacencySplit split_by_adjacency_cache(ShardId dst,
                                           std::span<const NodeId> locals,
                                           CachedRowArena& arena,
@@ -317,15 +317,12 @@ class DistGraphStorage {
 
   /// Feed rows decoded from a remote response into the adjacency cache
   /// (no-op when the cache is off). `locals[t]` names `rows[t]`;
-  /// `graph_version` is the pin the rows were fetched under.
+  /// `graph_version` is the pin the rows were fetched under. A row whose
+  /// key is in this shard's halo was fetched because its halo copy went
+  /// stale; it is cached non-evictable, so the refreshed copy stays.
   void insert_adjacency_rows(ShardId dst, std::span<const NodeId> locals,
                              const NeighborBatch& rows,
                              std::uint64_t graph_version) const;
-
-  /// Shard `dst`'s last-mutation version (0 = never mutated).
-  std::uint64_t shard_last_mutation(ShardId dst) const {
-    return tracker_->last_mutation(dst);
-  }
 
   /// Resolve a requested pin at admission: an explicit version sticks;
   /// kVersionLatest becomes the newest PUBLISHED version (0 before any

@@ -90,15 +90,15 @@ void FetchPipeline::resolve_remote_shard(std::size_t j, const Plan& plan) {
   sources_[j].assign(uni.size(), RowSource::kRemote);
 
   // Rows still unresolved after the halo split, as union rows. Halo rows
-  // are version-0 copies: once shard j has mutated at or before the pin
-  // they can be stale, so the split is skipped and those rows read
-  // through the owner's snapshot instead (halo_valid_at).
+  // are version-0 copies: a row first mutated at or before the pin
+  // misses the split and reads through the adjacency cache or the
+  // owner's snapshot instead. Which rows hit depends on the pin alone,
+  // so the halo-first push group does too.
   std::span<const NodeId> pending_locals = uni;
   const std::vector<std::size_t>* pending_rows = nullptr;  // identity
-  if (storage_.halo_cache_enabled() &&
-      storage_.halo_valid_at(static_cast<ShardId>(j), pin_)) {
+  if (storage_.halo_cache_enabled()) {
     auto& hs = halo_splits_[j];
-    hs = storage_.split_by_halo_cache(static_cast<ShardId>(j), uni);
+    hs = storage_.split_by_halo_cache(static_cast<ShardId>(j), uni, pin_);
     for (std::size_t h = 0; h < hs.hit_indices.size(); ++h) {
       resolved_[j][hs.hit_indices[h]] = hs.hit_props[h];
       sources_[j][hs.hit_indices[h]] = RowSource::kHalo;

@@ -9,9 +9,13 @@
 // runs the full resolution cascade per remote shard:
 //
 //   1. halo-cache split      — rows resident in the static 1-hop halo
-//                              cache are served zero-copy (§3.2.1);
+//                              cache are served zero-copy (§3.2.1), each
+//                              while its row is unmutated at the pin;
 //   2. adjacency-cache split — rows resident in the CLOCK-evicted
-//                              dynamic cache are arena-copied out;
+//                              dynamic cache, tagged per row with their
+//                              last mutation, are arena-copied out (a
+//                              halo row re-fetched after its copy went
+//                              stale stays there, non-evictable);
 //   3. one batched RPC       — at most one async, optionally compressed,
 //                              request per remote shard for the misses
 //                              (§3.2.3 Batch/Compress);
@@ -26,7 +30,10 @@
 // provenance (local / halo / cache / wire), which is what lets the SSPPR
 // drivers replay their exact push-call structure — own shard first, halo
 // hits before fetched misses, rows in request order — so results stay
-// bit-identical no matter which caches happen to be warm.
+// bit-identical no matter which caches happen to be warm. The halo hits
+// are exactly the rows whose version-0 copy is valid at the pin, so that
+// group is a function of the pin alone; a refreshed halo row resolves as
+// a cache hit and pushes with the wire rows.
 #pragma once
 
 #include <cstdint>
@@ -115,7 +122,7 @@ class FetchPipeline {
   /// Pin every round to one graph version (DESIGN.md §15), resolved
   /// once through DistGraphStorage::resolve_pin (the default reads the
   /// newest published version): fetch RPCs carry it, adjacency-cache
-  /// validity is judged against it, the halo split is skipped for shards
+  /// validity is judged against it, the halo split skips rows first
   /// mutated at or before it, and self-shard rows are served through a
   /// snapshot frozen at it.
   explicit FetchPipeline(const DistGraphStorage& storage,

@@ -197,13 +197,9 @@ MutationOutcome Machine::apply_mutations(
     const auto shard = static_cast<ShardId>(s);
     land(map->node_of(shard), shard);
     for (const std::int32_t rep : map->replicas(shard)) land(rep, shard);
-    // Shard marks happen BEFORE the publish below: a reader resolving
-    // its pin at the new version must already see the halo/cache
-    // invalidation marks.
-    tracker_->note_shard_mutation(shard, version);
-    out.mutated.push_back(shard);
+    out.mutated.push_back(ShardRows{shard, batches[s].source_rows()});
   }
-  tracker_->publish(version);
+  tracker_->publish(version, out.mutated);
   return out;
 }
 

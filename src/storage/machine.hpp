@@ -49,7 +49,8 @@ struct MachineConfig {
 /// What a coordinated mutation batch produced.
 struct MutationOutcome {
   std::uint64_t version = 0;
-  std::vector<ShardId> mutated;  // ascending
+  /// Each mutated shard (ascending) with the rows its batch changed.
+  std::vector<ShardRows> mutated;
 };
 
 class Machine {
@@ -96,7 +97,8 @@ class Machine {
   ///      copy this machine holds or else by kGetWeightedDegs.
   ///   3. Land each shard's batch on its owner, then on each replica,
   ///      each acked before the next; copies held here apply in place.
-  ///   4. Mark every mutated shard, then publish on this machine's tracker.
+  ///   4. Publish on this machine's tracker, noting each shard's changed
+  ///      rows (the distinct source rows of its batch) first.
   /// Batches are serialized per machine.
   MutationOutcome apply_mutations(std::span<const EdgeMutationOp> ops);
 

@@ -644,6 +644,10 @@ void NeighborBatch::decode_csr_into(ByteReader& r, NeighborBatch& out) {
 NeighborBatch NeighborBatch::decode_tensor_list(ByteReader& r) {
   NeighborBatch b;
   const auto n = r.read<std::uint64_t>();
+  // Each row owes at least its float plus five tensor headers, so a
+  // hostile count is rejected before anything is reserved for it.
+  GE_REQUIRE(n <= r.remaining() / (sizeof(float) + 5 * kTensorHeaderBytes),
+             "tensor-list row count exceeds the payload");
   b.indptr_.reserve(n + 1);
   b.indptr_.push_back(0);
   b.src_weighted_deg_.reserve(n);
@@ -656,11 +660,11 @@ NeighborBatch NeighborBatch::decode_tensor_list(ByteReader& r) {
     auto weights = r.read_tensor<float>();
     auto dws = r.read_tensor<float>();
     auto globals = r.read_tensor<NodeId>();
-    GE_CHECK(locals.size() == shards.size() &&
-                 locals.size() == weights.size() &&
-                 locals.size() == dws.size() &&
-                 locals.size() == globals.size(),
-             "ragged tensor-list response");
+    GE_REQUIRE(locals.size() == shards.size() &&
+                   locals.size() == weights.size() &&
+                   locals.size() == dws.size() &&
+                   locals.size() == globals.size(),
+               "ragged tensor-list response");
     b.nbr_local_ids_.insert(b.nbr_local_ids_.end(), locals.begin(),
                             locals.end());
     b.nbr_shard_ids_.insert(b.nbr_shard_ids_.end(), shards.begin(),

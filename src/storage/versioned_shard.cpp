@@ -56,6 +56,16 @@ MutationBatch MutationBatch::decode(ByteReader& r) {
   return b;
 }
 
+std::vector<NodeId> MutationBatch::source_rows() const {
+  std::vector<NodeId> rows;
+  rows.reserve(num_ops());
+  for (const EdgeInsert& e : inserts) rows.push_back(e.src_local);
+  for (const EdgeDelete& e : deletes) rows.push_back(e.src_local);
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // DeltaSegment
 
@@ -84,11 +94,9 @@ void group_by_row(const std::vector<Op>& ops, std::span<const NodeId> rows,
 }  // namespace
 
 DeltaSegment::DeltaSegment(std::uint64_t version, MutationBatch batch)
-    : version_(version), batch_(std::move(batch)) {
-  for (const EdgeInsert& e : batch_.inserts) rows_.push_back(e.src_local);
-  for (const EdgeDelete& e : batch_.deletes) rows_.push_back(e.src_local);
-  std::sort(rows_.begin(), rows_.end());
-  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+    : version_(version),
+      batch_(std::move(batch)),
+      rows_(batch_.source_rows()) {
   group_by_row(batch_.deletes, rows_, delete_ptr_, delete_ops_);
   group_by_row(batch_.inserts, rows_, insert_ptr_, insert_ops_);
 }
@@ -390,11 +398,6 @@ std::uint64_t VersionedShardStore::latest_version() const {
   return latest_;
 }
 
-std::uint64_t VersionedShardStore::first_mutation_version() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return first_mutation_;
-}
-
 std::uint64_t VersionedShardStore::oldest_pinnable_version() const {
   std::lock_guard<std::mutex> lk(mu_);
   return retired_.empty() ? current_.floor : retired_.front().floor;
@@ -440,7 +443,6 @@ void VersionedShardStore::apply(std::uint64_t version, MutationBatch batch) {
   segments.push_back(std::move(seg));
   current_.log = std::make_shared<const DeltaLog>(n, std::move(segments));
   latest_ = version;
-  if (first_mutation_ == 0) first_mutation_ = version;
   delta_edges_.set(static_cast<std::int64_t>(current_.log->num_ops()));
 }
 
@@ -516,9 +518,9 @@ std::shared_ptr<const GraphShard> VersionedShardStore::materialize(
         static_cast<EdgeIndex>(p.degree());
     snap.reset_scratch();  // one merged row at a time
   }
-  // Halo rows stay version-0 copies of other shards' state; the halo
-  // validity gate (VersionTracker::first_mutation) decides whether a query
-  // may consume them, so every generation shares the one immutable halo.
+  // Halo rows stay version-0 copies of other shards' rows; the halo gate
+  // reads each row's first mutation from the process's VersionTracker, so
+  // every generation shares the one immutable halo.
   shard->halo_ = old.halo_;
   return shard;
 }
@@ -562,11 +564,10 @@ void VersionedShardStore::compact() {
 
 void VersionedShardStore::serialize(ByteWriter& w) const {
   std::lock_guard<std::mutex> lk(mu_);
-  w.write<std::uint8_t>(1);  // store snapshot layout version
+  w.write<std::uint8_t>(2);  // store snapshot layout version
   current_.base->serialize(w);
   w.write<std::uint64_t>(current_.floor);
   w.write<std::uint64_t>(latest_);
-  w.write<std::uint64_t>(first_mutation_);
   const auto& segments = current_.log->segments();
   w.write<std::uint32_t>(static_cast<std::uint32_t>(segments.size()));
   for (const auto& seg : segments) {
@@ -578,12 +579,11 @@ void VersionedShardStore::serialize(ByteWriter& w) const {
 std::shared_ptr<VersionedShardStore> VersionedShardStore::deserialize(
     ByteReader& r) {
   const auto layout = r.read<std::uint8_t>();
-  GE_REQUIRE(layout == 1,
+  GE_REQUIRE(layout == 2,
              "unknown store snapshot layout " + std::to_string(layout));
   auto base = GraphShard::deserialize(r);
   const auto floor = r.read<std::uint64_t>();
   const auto latest = r.read<std::uint64_t>();
-  const auto first_mutation = r.read<std::uint64_t>();
   auto store = std::make_shared<VersionedShardStore>(std::move(base), floor);
   const auto num_segments = r.read<std::uint32_t>();
   for (std::uint32_t i = 0; i < num_segments; ++i) {
@@ -593,46 +593,70 @@ std::shared_ptr<VersionedShardStore> VersionedShardStore::deserialize(
   std::lock_guard<std::mutex> lk(store->mu_);
   GE_REQUIRE(store->latest_ == latest,
              "store snapshot latest version inconsistent with segments");
-  // The source store may have compacted away the first mutation's segment;
-  // restore the recorded value so halo validity gating stays correct.
-  store->first_mutation_ = first_mutation;
   return store;
 }
 
 // ---------------------------------------------------------------------------
 // VersionTracker
 
-VersionTracker::VersionTracker(int num_shards)
-    : num_shards_(static_cast<std::size_t>(num_shards)),
-      shards_(new PerShard[static_cast<std::size_t>(num_shards)]) {
-  GE_REQUIRE(num_shards > 0, "version tracker needs at least one shard");
+VersionTracker::VersionTracker(const GlobalMapping& mapping)
+    : cells_(std::make_unique<std::atomic<Cell*>[]>(
+          static_cast<std::size_t>(mapping.num_shards()))) {
+  GE_REQUIRE(mapping.num_shards() > 0,
+             "version tracker needs at least one shard");
+  for (ShardId s = 0; s < mapping.num_shards(); ++s) {
+    num_rows_.push_back(mapping.num_core_nodes(s));
+    cells_[static_cast<std::size_t>(s)].store(nullptr,
+                                              std::memory_order_relaxed);
+  }
 }
 
-void VersionTracker::note_shard_mutation(ShardId shard,
-                                         std::uint64_t version) {
-  GE_REQUIRE(shard >= 0 && static_cast<std::size_t>(shard) < num_shards_,
-             "shard id out of range");
-  PerShard& s = shards_[static_cast<std::size_t>(shard)];
-  std::uint64_t expected = 0;
-  s.first.compare_exchange_strong(expected, version,
-                                  std::memory_order_acq_rel);
-  // Mutations are coordinated under one process-wide mutation lock, so
-  // `last` only moves forward.
-  s.last.store(version, std::memory_order_release);
+VersionTracker::~VersionTracker() {
+  for (std::size_t s = 0; s < num_rows_.size(); ++s) {
+    delete[] cells_[s].load(std::memory_order_relaxed);
+  }
 }
 
-std::uint64_t VersionTracker::first_mutation(ShardId shard) const {
-  GE_REQUIRE(shard >= 0 && static_cast<std::size_t>(shard) < num_shards_,
-             "shard id out of range");
-  return shards_[static_cast<std::size_t>(shard)].first.load(
-      std::memory_order_acquire);
+VersionTracker::Cell* VersionTracker::cells_for_write(std::size_t s) {
+  Cell* cells = cells_[s].load(std::memory_order_relaxed);
+  if (cells == nullptr) {
+    cells = new Cell[static_cast<std::size_t>(num_rows_[s])];
+    cells_[s].store(cells, std::memory_order_release);
+  }
+  return cells;
 }
 
-std::uint64_t VersionTracker::last_mutation(ShardId shard) const {
-  GE_REQUIRE(shard >= 0 && static_cast<std::size_t>(shard) < num_shards_,
-             "shard id out of range");
-  return shards_[static_cast<std::size_t>(shard)].last.load(
-      std::memory_order_acquire);
+void VersionTracker::publish(std::uint64_t version,
+                             std::span<const ShardRows> changed) {
+  for (const ShardRows& s : changed) {
+    const std::size_t shard = checked_shard(s.shard);
+    for (const NodeId row : s.rows) {
+      GE_REQUIRE(row >= 0 && row < num_rows_[shard], "row id out of range");
+    }
+  }
+  std::lock_guard<std::mutex> lock(write_mu_);
+  const std::uint64_t published = published_.load(std::memory_order_relaxed);
+  if (version <= published) return;
+  const auto note = [](Cell& c, std::uint64_t first, std::uint64_t last) {
+    if (c.first.load(std::memory_order_relaxed) == 0) {
+      c.first.store(first, std::memory_order_release);
+    }
+    c.last.store(last, std::memory_order_release);
+  };
+  if (version == published + 1) {
+    for (const ShardRows& s : changed) {
+      Cell* cells = cells_for_write(static_cast<std::size_t>(s.shard));
+      for (const NodeId row : s.rows) note(cells[row], version, version);
+    }
+  } else {
+    for (std::size_t s = 0; s < num_rows_.size(); ++s) {
+      Cell* cells = cells_for_write(s);
+      for (NodeId row = 0; row < num_rows_[s]; ++row) {
+        note(cells[row], published + 1, version);
+      }
+    }
+  }
+  published_.store(version, std::memory_order_release);
 }
 
 }  // namespace ppr

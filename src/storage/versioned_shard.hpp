@@ -77,6 +77,9 @@ struct MutationBatch {
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
   std::size_t num_ops() const { return inserts.size() + deletes.size(); }
+  /// Distinct source rows of the ops, ascending: the only rows the batch
+  /// changes (see ShardRows).
+  std::vector<NodeId> source_rows() const;
 
   void encode(ByteWriter& w) const;
   static MutationBatch decode(ByteReader& r);
@@ -254,10 +257,6 @@ class VersionedShardStore {
   std::shared_ptr<const GraphShard> base() const;
   /// Newest applied graph version (base_version when never mutated).
   std::uint64_t latest_version() const;
-  /// Version of the first mutation ever applied; 0 = never mutated. Used
-  /// by the halo-validity gate (v0 halo rows describe other shards'
-  /// version-0 state).
-  std::uint64_t first_mutation_version() const;
   /// Oldest version still snapshottable (floor of the oldest retained
   /// generation).
   std::uint64_t oldest_pinnable_version() const;
@@ -283,9 +282,9 @@ class VersionedShardStore {
   std::uint64_t compactions() const;
 
   /// Full-store serialization (migration / replica bootstrap): base CSR +
-  /// floor/latest/first-mutation versions + pending segments of the
-  /// current generation. Retired generations do not ship — a freshly
-  /// adopted replica serves versions ≥ its floor.
+  /// floor/latest versions + pending segments of the current generation.
+  /// Retired generations do not ship — a freshly adopted replica serves
+  /// versions ≥ its floor.
   void serialize(ByteWriter& w) const;
   static std::shared_ptr<VersionedShardStore> deserialize(ByteReader& r);
 
@@ -314,7 +313,6 @@ class VersionedShardStore {
   Generation current_;
   std::vector<Generation> retired_;  // oldest first, bounded
   std::uint64_t latest_ = 0;
-  std::uint64_t first_mutation_ = 0;
 
   std::shared_ptr<PinState> pins_;
   obs::Gauge delta_edges_;
@@ -322,38 +320,84 @@ class VersionedShardStore {
   std::vector<obs::Registration> regs_;
 };
 
+/// The rows one mutation batch changed on one shard: the distinct source
+/// rows of its ops, ascending. Only a source row's bytes change — an
+/// insert or delete edits its source row, and the weighted-degree hints
+/// already on other rows' edges are never updated after the fact
+/// (DESIGN.md §15).
+struct ShardRows {
+  ShardId shard = 0;
+  std::vector<NodeId> rows;
+};
+
 /// Per-process registry of what versions exist: the newest *published*
 /// version (safe for new queries to pin — every shard has applied all
-/// mutations ≤ it) and per-shard first/last mutation versions feeding the
-/// halo/adjacency-cache validity gates. The coordinator notes each shard's
-/// mutations BEFORE publishing the version, so any reader that sees
-/// published() ≥ V also sees every note ≤ V.
+/// mutations ≤ it) and, per row, the first and last version that changed
+/// it, feeding the halo gate and the adjacency cache's tags.
+///
+/// Readers take no lock. A shard's row arrays are allocated at its first
+/// note, sized by its core-row count, and never reallocated; a graph that
+/// never mutates allocates none.
 class VersionTracker {
  public:
-  explicit VersionTracker(int num_shards);
+  /// Row arrays are sized by `mapping`'s per-shard core-row counts.
+  explicit VersionTracker(const GlobalMapping& mapping);
+  ~VersionTracker();
 
-  int num_shards() const { return static_cast<int>(num_shards_); }
+  VersionTracker(const VersionTracker&) = delete;
+  VersionTracker& operator=(const VersionTracker&) = delete;
+
+  int num_shards() const { return static_cast<int>(num_rows_.size()); }
 
   std::uint64_t published() const {
     return published_.load(std::memory_order_acquire);
   }
-  void publish(std::uint64_t version) {
-    published_.store(version, std::memory_order_release);
+  /// Publish `version` after noting the rows it changed — notes first, so
+  /// a reader that sees published() ≥ V also sees every note ≤ V. Every
+  /// shard id and row is range-checked before anything is noted.
+  ///   * A version at or below published() is dropped: a late or
+  ///     repeated announce, already covered.
+  ///   * A version above published() + 1 means the versions between
+  ///     were missed, and with them which rows changed (DESIGN.md §15).
+  ///     Every row of every shard then counts as first mutated no later
+  ///     than published() + 1 and last mutated at `version`: the gates
+  ///     serve fewer copies, never a stale one.
+  void publish(std::uint64_t version, std::span<const ShardRows> changed);
+
+  /// First / last version that changed row `row` of `shard`; 0 = never.
+  std::uint64_t first_mutation(ShardId shard, NodeId row) const {
+    const Cell* c = cell(shard, row);
+    return c != nullptr ? c->first.load(std::memory_order_acquire) : 0;
+  }
+  std::uint64_t last_mutation(ShardId shard, NodeId row) const {
+    const Cell* c = cell(shard, row);
+    return c != nullptr ? c->last.load(std::memory_order_acquire) : 0;
   }
 
-  void note_shard_mutation(ShardId shard, std::uint64_t version);
-  /// 0 = shard never mutated.
-  std::uint64_t first_mutation(ShardId shard) const;
-  std::uint64_t last_mutation(ShardId shard) const;
-
  private:
-  struct PerShard {
+  struct Cell {
     std::atomic<std::uint64_t> first{0};
     std::atomic<std::uint64_t> last{0};
   };
 
-  std::size_t num_shards_ = 0;
-  std::unique_ptr<PerShard[]> shards_;
+  std::size_t checked_shard(ShardId shard) const {
+    GE_REQUIRE(shard >= 0 && static_cast<std::size_t>(shard) <
+                                 num_rows_.size(),
+               "shard id out of range");
+    return static_cast<std::size_t>(shard);
+  }
+  const Cell* cell(ShardId shard, NodeId row) const {
+    const std::size_t s = checked_shard(shard);
+    GE_REQUIRE(row >= 0 && row < num_rows_[s], "row id out of range");
+    const Cell* cells = cells_[s].load(std::memory_order_acquire);
+    return cells != nullptr ? cells + row : nullptr;
+  }
+  /// Shard `s`'s cells, allocated on first use. Caller holds write_mu_.
+  Cell* cells_for_write(std::size_t s);
+
+  std::vector<NodeId> num_rows_;  // core rows per shard
+  std::unique_ptr<std::atomic<Cell*>[]> cells_;
+  std::mutex write_mu_;  // serializes publish()
   std::atomic<std::uint64_t> published_{0};
 };
 

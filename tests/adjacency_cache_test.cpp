@@ -151,6 +151,106 @@ TEST(AdjacencyCache, ReinsertOnlyRefreshesResidentRow) {
   EXPECT_EQ(cache.stats().insertions.load(), 1u);
 }
 
+// ---------------------------------------------------------------------
+// Per-row version tags (DESIGN.md §15): each entry carries its row's
+// last-mutation version L, and each probe passes every row's current L.
+
+/// Probe one row of `dst` as a reader pinned at `pin` whose row was last
+/// mutated at `last_mut`; true on a hit.
+bool probe_at(AdjacencyCache& cache, ShardId dst, NodeId local,
+              std::uint64_t last_mut, std::uint64_t pin) {
+  CachedRowArena arena;
+  std::vector<std::size_t> hit_indices, hit_rows, miss_indices;
+  std::vector<NodeId> miss_locals;
+  const NodeId locals[] = {local};
+  const std::uint64_t versions[] = {last_mut};
+  cache.lookup(dst, locals, arena, hit_indices, hit_rows, miss_locals,
+               miss_indices, versions, pin);
+  return !hit_indices.empty();
+}
+
+TEST(AdjacencyCache, RowTagServesEveryPinAtOrAboveIt) {
+  AdjacencyCache cache(8);
+  cache.insert(1, 5, make_row(5, 1, 3).prop(), /*row_last_mut=*/3,
+               /*graph_version=*/3);
+  EXPECT_TRUE(probe_at(cache, 1, 5, 3, 3));
+  EXPECT_TRUE(probe_at(cache, 1, 5, 3, 9));
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 0u);
+}
+
+TEST(AdjacencyCache, MovedRowTagErasesTheEntryOnce) {
+  AdjacencyCache cache(8);
+  cache.insert(1, 5, make_row(5, 1, 3).prop(), 3, 3);
+  // The row was mutated again at 6: the entry is erased and counted.
+  EXPECT_FALSE(probe_at(cache, 1, 5, 6, 6));
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  // The next probe finds nothing to erase.
+  EXPECT_FALSE(probe_at(cache, 1, 5, 6, 6));
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 1u);
+  // A refill at a pin that proves it current serves again.
+  cache.insert(1, 5, make_row(5, 1, 4).prop(), 6, 7);
+  EXPECT_TRUE(probe_at(cache, 1, 5, 6, 7));
+}
+
+TEST(AdjacencyCache, ReaderPinnedBelowTheTagMissesWithoutErasing) {
+  AdjacencyCache cache(8);
+  cache.insert(1, 5, make_row(5, 1, 3).prop(), 3, 4);
+  EXPECT_FALSE(probe_at(cache, 1, 5, 3, 2));
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(probe_at(cache, 1, 5, 3, 3));
+}
+
+TEST(AdjacencyCache, RowFetchedAtAnOlderPinIsNotCached) {
+  AdjacencyCache cache(8);
+  cache.insert(1, 5, make_row(5, 1, 3).prop(), /*row_last_mut=*/5,
+               /*graph_version=*/4);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().insertions.load(), 0u);
+}
+
+TEST(AdjacencyCache, SiblingRowOfAMutatedRowKeepsHitting) {
+  AdjacencyCache cache(8);
+  cache.insert(2, 1, make_row(1, 2, 2).prop());
+  cache.insert(2, 2, make_row(2, 2, 2).prop());
+  // Row 1 of shard 2 changed at version 4; row 2 never did.
+  CachedRowArena arena;
+  std::vector<std::size_t> hit_indices, hit_rows, miss_indices;
+  std::vector<NodeId> miss_locals;
+  const std::vector<NodeId> locals = {1, 2};
+  const std::vector<std::uint64_t> versions = {4, 0};
+  cache.lookup(2, locals, arena, hit_indices, hit_rows, miss_locals,
+               miss_indices, versions, /*graph_version=*/4);
+  EXPECT_EQ(hit_indices, std::vector<std::size_t>{1});
+  EXPECT_EQ(miss_locals, std::vector<NodeId>{1});
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 1u);
+  EXPECT_EQ(arena.row(hit_rows[0]).weighted_degree,
+            make_row(2, 2, 2).wdeg);
+}
+
+TEST(AdjacencyCache, NonEvictableRowSurvivesClockButNotAVersionBump) {
+  AdjacencyCache cache(2);
+  cache.insert(3, 100, make_row(100, 3, 2).prop(), 2, 2,
+               /*evictable=*/false);
+  // Ten evictable rows churn the two CLOCK slots.
+  for (NodeId v = 0; v < 10; ++v) {
+    cache.insert(3, v, make_row(v, 3, 1).prop(), 0, 2);
+  }
+  EXPECT_EQ(cache.stats().evictions.load(), 8u);
+  EXPECT_EQ(cache.size(), 3u);  // two CLOCK rows + the fixed one
+  EXPECT_TRUE(probe_at(cache, 3, 100, 2, 2));
+  // A later mutation of the row erases it like any entry.
+  EXPECT_FALSE(probe_at(cache, 3, 100, 6, 6));
+  EXPECT_EQ(cache.stats().version_invalidations.load(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+  // The refreshed copy takes the freed fixed slot and serves again.
+  cache.insert(3, 100, make_row(100, 3, 5).prop(), 6, 6, false);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_TRUE(probe_at(cache, 3, 100, 6, 6));
+  EXPECT_EQ(cache.stats().evictions.load(), 8u);
+}
+
 TEST(AdjacencyCache, ConcurrentLookupInsertSmoke) {
   // Several "computing processes" hammer one machine's cache; hits are
   // copied out under the lock, so views must never dangle. TSan/ASan

@@ -79,10 +79,12 @@ struct LiveCluster {
     save_graph(g, graph_path);
 
     // A fixed port can be stolen between selection and bind; retry the
-    // whole bootstrap with a fresh base.
+    // whole bootstrap with a fresh base. Bases are drawn below Linux's
+    // default ephemeral range (32768 and up), so an outbound connection
+    // cannot hold one, and a lost attempt costs its connect timeout.
     std::mt19937 rng(static_cast<unsigned>(::getpid()));
     for (int attempt = 0; attempt < 3 && client == nullptr; ++attempt) {
-      const int base = 21000 + static_cast<int>(rng() % 30000);
+      const int base = 20000 + static_cast<int>(rng() % 12000);
       std::string text;
       text += "cluster_name = elastic-e2e\n";
       text += "graph = " + graph_path + "\n";
@@ -105,7 +107,7 @@ struct LiveCluster {
       }
       try {
         TcpTransportOptions net;
-        net.connect_timeout_s = 60.0;
+        net.connect_timeout_s = 20.0;
         client = std::make_unique<cluster::ClusterClient>(config, 3, net);
       } catch (const EngineError& e) {
         GE_LOG(kWarn) << "cluster boot attempt " << attempt

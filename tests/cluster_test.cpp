@@ -256,6 +256,59 @@ TEST(QueryWire, DecodersRejectHostileCountsAndTruncation) {
                  EngineError)
         << len;
   }
+
+  // Version announces: every count is bounded by the bytes left, and
+  // every shard and row is range-checked (shard 0 has 2 core rows, shard
+  // 1 has 3) before the announce reaches the tracker.
+  const GlobalMapping mapping(PartitionAssignment{0, 1, 0, 1, 1}, 2);
+  const auto announce = [](std::uint64_t shards, std::int32_t shard,
+                           std::uint64_t rows, NodeId row) {
+    ByteWriter w;
+    w.write<std::uint64_t>(9);  // version
+    w.write<std::uint64_t>(shards);
+    w.write<std::int32_t>(shard);
+    w.write<std::uint64_t>(rows);
+    w.write<NodeId>(row);
+    return std::move(w).take();
+  };
+  EXPECT_EQ(decode_version_announce(announce(1, 1, 1, 2), mapping)
+                .shards.at(0)
+                .rows,
+            std::vector<NodeId>{2});
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 40,
+                                    ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    EXPECT_THROW(decode_version_announce(announce(count, 1, 1, 2), mapping),
+                 InvalidArgument);
+    EXPECT_THROW(decode_version_announce(announce(1, 1, count, 2), mapping),
+                 InvalidArgument);
+  }
+  for (const NodeId row : {3, -1}) {  // shard 1 has rows 0..2
+    EXPECT_THROW(decode_version_announce(announce(1, 1, 1, row), mapping),
+                 InvalidArgument)
+        << "row " << row;
+  }
+  for (const std::int32_t shard : {2, -1}) {
+    EXPECT_THROW(decode_version_announce(announce(1, shard, 1, 0), mapping),
+                 InvalidArgument)
+        << "shard " << shard;
+  }
+  VersionAnnounce ann;
+  ann.version = 4;
+  ann.shards = {{0, {0, 1}}, {1, {2}}};
+  const std::vector<std::uint8_t> ann_bytes = encode_version_announce(ann);
+  const VersionAnnounce back = decode_version_announce(ann_bytes, mapping);
+  EXPECT_EQ(back.version, 4u);
+  ASSERT_EQ(back.shards.size(), 2u);
+  EXPECT_EQ(back.shards[0].rows, (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(back.shards[1].shard, 1);
+  for (std::size_t len = 0; len < ann_bytes.size(); ++len) {
+    EXPECT_THROW(
+        decode_version_announce(std::span(ann_bytes).first(len), mapping),
+        EngineError)
+        << len;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -285,16 +338,16 @@ TEST(Handshake, WelcomesMatchingPeer) {
   EXPECT_TRUE(v.reason.empty());
 }
 
-// A v2 peer speaks the 12-byte storage header (and its flagged versioned
-// form); the v3 mesh must refuse it at the handshake, before any storage
-// frame is exchanged.
-TEST(Handshake, RejectsProtocolV2Peer) {
-  ASSERT_EQ(kClusterProtocolVersion, 3);
+// A v3 peer announces versions by shard only, so its peers could not
+// gate their halo and adjacency cache per row; the v4 mesh must refuse
+// it at the handshake, before any frame is exchanged.
+TEST(Handshake, RejectsPreviousProtocolPeer) {
+  ASSERT_EQ(kClusterProtocolVersion, 4);
   HelloFrame h = good_hello();
-  h.version = 2;
+  h.version = kClusterProtocolVersion - 1;
   const HelloVerdict v = validate_hello(h, expectation());
   EXPECT_EQ(v.status, HelloStatus::kVersionMismatch);
-  EXPECT_NE(v.reason.find("v2"), std::string::npos) << v.reason;
+  EXPECT_NE(v.reason.find("v3"), std::string::npos) << v.reason;
 }
 
 TEST(Handshake, RejectsEveryMismatchClass) {
@@ -708,6 +761,13 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(path); }
 };
 
+/// Base ports are drawn below Linux's default ephemeral range (32768 and
+/// up), so an outbound connection cannot hold one; a boot attempt that
+/// still loses its port gives up after the connect timeout and retries.
+constexpr int kBootPortLow = 20000;
+constexpr int kBootPortSpan = 12000;
+constexpr double kBootConnectTimeoutS = 20.0;
+
 pid_t spawn_node(const std::string& config_path, int node_id,
                  const std::string& log_path) {
   const pid_t pid = ::fork();
@@ -735,18 +795,21 @@ TEST(ClusterEndToEnd, ThreeProcessesMatchInProcessAnswers) {
   save_graph(g, graph_path);
 
   // Boot 3 node processes + the mesh-member client; a fixed port can be
-  // stolen between selection and bind, so retry the whole bootstrap.
+  // stolen between selection and bind, so retry the whole bootstrap. The
+  // nodes keep halo rows and an adjacency cache, so the mutated answers
+  // below hold only if every peer learns which rows each batch changed.
   std::unique_ptr<cluster::ClusterClient> client;
   ClusterConfig config;
   std::vector<pid_t> pids;
   std::mt19937 rng(static_cast<unsigned>(::getpid()));
   for (int attempt = 0; attempt < 3 && client == nullptr; ++attempt) {
-    const int base = 21000 + static_cast<int>(rng() % 30000);
+    const int base = kBootPortLow + static_cast<int>(rng() % kBootPortSpan);
     std::string text;
     text += "cluster_name = e2e\n";
     text += "graph = " + graph_path + "\n";
     text += "partition = hash\n";
     text += "server_threads = 2\nquery_threads = 2\nexecutors = 1\n";
+    text += "cache_halo_adjacency = true\nadjacency_cache_rows = 64\n";
     for (int i = 0; i < 3; ++i) {
       text += "node " + std::to_string(i) + " 127.0.0.1 " +
               std::to_string(base + i) + " storage\n";
@@ -763,7 +826,7 @@ TEST(ClusterEndToEnd, ThreeProcessesMatchInProcessAnswers) {
     }
     try {
       TcpTransportOptions net;
-      net.connect_timeout_s = 60.0;
+      net.connect_timeout_s = kBootConnectTimeoutS;
       client = std::make_unique<cluster::ClusterClient>(config, 3, net);
     } catch (const EngineError& e) {
       GE_LOG(kWarn) << "cluster boot attempt " << attempt
@@ -782,6 +845,8 @@ TEST(ClusterEndToEnd, ThreeProcessesMatchInProcessAnswers) {
   ref_options.num_machines = 3;
   ref_options.network = no_network_cost();
   ref_options.server_threads = 2;
+  ref_options.cache_halo_adjacency = config.cache_halo_adjacency;
+  ref_options.adjacency_cache_rows = config.adjacency_cache_rows;
   Cluster reference(g, assignment, ref_options);
 
   serve::ServeOptions serve_options;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "graph/generators.hpp"
 #include "ppr/bfs.hpp"
 #include "ppr/random_walk.hpp"
+#include "storage/fetch_pipeline.hpp"
 #include "storage/storage_service.hpp"
 #include "storage/versioned_shard.hpp"
 
@@ -62,10 +64,13 @@ class MutationFixture : public ::testing::Test {
                                /*insert_fraction=*/0.65, /*seed=*/42);
   }
 
-  std::unique_ptr<Cluster> make_cluster() const {
+  std::unique_ptr<Cluster> make_cluster(bool halo = false,
+                                        std::size_t cache_rows = 0) const {
     ClusterOptions opts;
     opts.num_machines = 3;
     opts.network = no_network_cost();
+    opts.cache_halo_adjacency = halo;
+    opts.adjacency_cache_rows = cache_rows;
     return std::make_unique<Cluster>(graph_, assignment_, opts);
   }
 
@@ -171,7 +176,6 @@ TEST_F(MutationFixture, StoreServesEveryAppliedVersion) {
   const auto store = cluster->store(0);
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->latest_version(), 0u);
-  EXPECT_EQ(store->first_mutation_version(), 0u);
 
   // Insert one local edge 0 -> 1 inside shard 0 at version 1.
   const GraphShard& shard = cluster->shard(0);
@@ -182,7 +186,6 @@ TEST_F(MutationFixture, StoreServesEveryAppliedVersion) {
                                      shard.core_weighted_degree(1)});
   store->apply(1, batch);
   EXPECT_EQ(store->latest_version(), 1u);
-  EXPECT_EQ(store->first_mutation_version(), 1u);
   EXPECT_GT(store->delta_edges(), 0u);
 
   const auto v0 = store->snapshot(0);
@@ -927,13 +930,271 @@ TEST_F(MutationFixture, StoreSerializationRoundTripsVersionState) {
 
   EXPECT_EQ(copy->shard_id(), store->shard_id());
   EXPECT_EQ(copy->latest_version(), store->latest_version());
-  EXPECT_EQ(copy->first_mutation_version(), store->first_mutation_version());
   EXPECT_EQ(copy->delta_edges(), store->delta_edges());
   const auto a = store->snapshot();
   const auto b = copy->snapshot();
   for (NodeId l = 0; l < a->num_core_nodes(); ++l) {
     ASSERT_FLOAT_EQ(a->weighted_degree(l), b->weighted_degree(l));
   }
+}
+
+// ---------------------------------------------------------------------
+// Row-granular validity (DESIGN.md §15): the halo gate and the adjacency
+// cache's tags read each row's own mutation versions, so a write
+// invalidates only the rows it touched.
+
+// The tracker notes a version's rows as it publishes it, drops a late or
+// repeated version, and after a missed one counts every row as changed.
+TEST(VersionTrackerRows, PublishNotesRowsAndCoversAMissedVersion) {
+  // Shard 0 has core rows 0..1, shard 1 has rows 0..2.
+  const GlobalMapping mapping(PartitionAssignment{0, 1, 0, 1, 1}, 2);
+  VersionTracker t(mapping);
+  EXPECT_EQ(t.published(), 0u);
+  EXPECT_EQ(t.last_mutation(1, 2), 0u);
+
+  t.publish(1, std::vector<ShardRows>{{1, {2}}});
+  EXPECT_EQ(t.published(), 1u);
+  EXPECT_EQ(t.first_mutation(1, 2), 1u);
+  EXPECT_EQ(t.last_mutation(1, 2), 1u);
+  EXPECT_EQ(t.first_mutation(1, 0), 0u);  // a sibling row
+  EXPECT_EQ(t.first_mutation(0, 0), 0u);  // an untouched shard
+
+  t.publish(2, std::vector<ShardRows>{{0, {1}}, {1, {2}}});
+  EXPECT_EQ(t.first_mutation(1, 2), 1u);
+  EXPECT_EQ(t.last_mutation(1, 2), 2u);
+  EXPECT_EQ(t.first_mutation(0, 1), 2u);
+
+  // A late or repeated version changes nothing.
+  t.publish(2, std::vector<ShardRows>{{0, {0}}});
+  EXPECT_EQ(t.published(), 2u);
+  EXPECT_EQ(t.first_mutation(0, 0), 0u);
+
+  // Versions 3 and 4 were missed: every row counts as first changed no
+  // later than 3 and last changed at 5; earlier first notes stay.
+  t.publish(5, std::vector<ShardRows>{{1, {0}}});
+  EXPECT_EQ(t.published(), 5u);
+  EXPECT_EQ(t.first_mutation(0, 0), 3u);
+  EXPECT_EQ(t.last_mutation(0, 0), 5u);
+  EXPECT_EQ(t.first_mutation(1, 2), 1u);
+  EXPECT_EQ(t.last_mutation(1, 2), 5u);
+
+  // Ids are checked before anything is noted or published.
+  EXPECT_THROW(t.publish(6, std::vector<ShardRows>{{1, {0, 3}}}),
+               InvalidArgument);
+  EXPECT_THROW(t.publish(6, std::vector<ShardRows>{{2, {0}}}),
+               InvalidArgument);
+  EXPECT_EQ(t.published(), 5u);
+  EXPECT_EQ(t.last_mutation(1, 0), 5u);
+  EXPECT_THROW((void)t.first_mutation(0, 2), InvalidArgument);
+}
+
+/// Every read kind at one pin, from two sources: SSPPR (entries and push
+/// counts), BFS distances, and batched random walks.
+struct PinnedReads {
+  std::vector<Entries> ppr;
+  std::vector<std::uint64_t> pushes;
+  std::vector<std::pair<std::uint64_t, int>> bfs;  // (ref key, hops)
+  std::size_t bfs_levels = 0;
+  std::vector<NodeId> walks;
+};
+
+PinnedReads read_everything_at(const DistGraphStorage& storage,
+                               std::span<const NodeRef> sources,
+                               std::uint64_t pin) {
+  PinnedReads out;
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = kEps};
+  for (const NodeRef src : sources) {
+    const SspprState s = compute_ssppr(storage, src, ppr, pinned_driver(pin));
+    out.ppr.push_back(sorted_ppr(s));
+    out.pushes.push_back(s.num_pushes());
+  }
+  const NodeId roots[2] = {sources[0].local, sources[1].local};
+  BfsOptions bfs;
+  bfs.graph_version = pin;
+  const BfsResult b = distributed_bfs(storage, roots, bfs);
+  for (const auto& [ref, hops] : b.distances) {
+    out.bfs.emplace_back(ref.key(), hops);
+  }
+  std::sort(out.bfs.begin(), out.bfs.end());
+  out.bfs_levels = b.num_levels;
+  RandomWalkOptions walk;
+  walk.walk_length = 8;
+  walk.seed = 4242;
+  walk.graph_version = pin;
+  out.walks = distributed_random_walk(storage, roots, walk).walks;
+  return out;
+}
+
+// With halo rows and an adjacency cache of 0, 64 or 4,096 rows, a read
+// pinned at any version equals a frozen copy holding only that version's
+// batches, bit for bit. Pins run up and back down, so readers meet
+// entries tagged at newer versions and halo rows refreshed at other pins.
+TEST_F(MutationFixture, HaloAndCacheReadsMatchFrozenCopyAtEveryVersion) {
+  std::vector<NodeRef> sources;
+  std::vector<PinnedReads> want;
+  {
+    // Frozen copies: after v batches, version v is the newest there is.
+    auto frozen = make_cluster(/*halo=*/true);
+    sources = pick_sources(*frozen, 0, 3);
+    for (std::size_t v = 0; v <= batches_.size(); ++v) {
+      if (v > 0) frozen->apply_edge_mutations(batches_[v - 1]);
+      want.push_back(read_everything_at(frozen->storage(0), sources, v));
+    }
+  }
+  std::vector<std::uint64_t> pins;
+  for (std::uint64_t v = 0; v <= batches_.size(); ++v) pins.push_back(v);
+  for (std::uint64_t v = batches_.size(); v-- > 0;) pins.push_back(v);
+
+  for (const std::size_t rows : {std::size_t{0}, std::size_t{64},
+                                 std::size_t{4096}}) {
+    auto full = make_cluster(/*halo=*/true, rows);
+    for (const auto& batch : batches_) full->apply_edge_mutations(batch);
+    for (const std::uint64_t pin : pins) {
+      const std::string what = "cache " + std::to_string(rows) +
+                               " rows, pin " + std::to_string(pin);
+      SCOPED_TRACE(what);
+      const PinnedReads got =
+          read_everything_at(full->storage(0), sources, pin);
+      const PinnedReads& w = want[pin];
+      for (std::size_t q = 0; q < sources.size(); ++q) {
+        expect_identical(got.ppr[q], w.ppr[q], what);
+        EXPECT_EQ(got.pushes[q], w.pushes[q]);
+      }
+      EXPECT_EQ(got.bfs, w.bfs);
+      EXPECT_EQ(got.bfs_levels, w.bfs_levels);
+      EXPECT_EQ(got.walks, w.walks);
+    }
+    // Halo rows kept serving at the newest version.
+    EXPECT_GT(full->storage(0).stats().halo_hits.load(), 0u);
+    if (rows > 0) {
+      EXPECT_GT(full->total_adjacency_cache_hits(), 0u);
+    }
+  }
+}
+
+// After a write, every cached row it did not touch still hits; only the
+// touched rows miss, at most one invalidation each, and their refetched
+// copies equal the owner's rows at the new version.
+TEST_F(MutationFixture, RowsAWriteDidNotTouchKeepHittingTheCache) {
+  auto cluster = make_cluster(/*halo=*/false, /*cache_rows=*/4096);
+  const DistGraphStorage& reader = cluster->storage(0);
+  const AdjacencyCacheStats& cache = *reader.adjacency_cache_stats();
+  const GlobalMapping& mapping = cluster->mapping();
+  std::vector<NodeId> locals;
+  for (NodeId l = 0; l < std::min<NodeId>(cluster->shard(1).num_core_nodes(),
+                                          120);
+       ++l) {
+    locals.push_back(l);
+  }
+  // Reads every probed row of shard 1 at `pin`; returns the cache hits.
+  const auto read_shard1 = [&](std::uint64_t pin) {
+    FetchPipeline pipeline(reader, pin);
+    pipeline.begin_round();
+    for (const NodeId l : locals) pipeline.add(1, l);
+    pipeline.execute(FetchPipeline::Plan{});
+    const auto owner = cluster->store(1)->snapshot(pin);
+    for (const NodeId l : locals) {
+      const VertexProp got = pipeline.row(1, pipeline.row_of(1, l));
+      const VertexProp want = owner->vertex_prop(l);
+      EXPECT_EQ(bits(got.nbr_global_ids), bits(want.nbr_global_ids))
+          << "row " << l << " at " << pin;
+      EXPECT_EQ(bits(got.edge_weights), bits(want.edge_weights))
+          << "row " << l << " at " << pin;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.weighted_degree),
+                std::bit_cast<std::uint32_t>(want.weighted_degree))
+          << "row " << l << " at " << pin;
+    }
+    return pipeline.stats().rows_cached.load();
+  };
+  EXPECT_EQ(read_shard1(0), 0u);  // cold: every row crosses the wire
+  EXPECT_EQ(read_shard1(0), locals.size());
+
+  // First a write touching one probed row (an edge from it to a node of
+  // shard 2 it does not neighbor yet), then the fixture's batches.
+  const NodeId u = mapping.to_global(NodeRef{locals[3], 1});
+  const auto u_nbrs = graph_.neighbors(u);
+  NodeId v = 0;
+  while (mapping.to_ref(v).shard != 2 ||
+         std::find(u_nbrs.begin(), u_nbrs.end(), v) != u_nbrs.end()) {
+    ++v;
+  }
+  std::vector<std::vector<EdgeMutationOp>> writes = {{{u, v, 1.5f, true}}};
+  writes.insert(writes.end(), batches_.begin(), batches_.end());
+  std::size_t touched_total = 0;
+  for (const auto& write : writes) {
+    const std::uint64_t invalidations = cache.version_invalidations.load();
+    const std::uint64_t version = cluster->apply_edge_mutations(write);
+    // Every op changes the rows of both its endpoints.
+    std::set<NodeId> touched;
+    for (const EdgeMutationOp& op : write) {
+      for (const NodeId g : {op.u, op.v}) {
+        const NodeRef ref = mapping.to_ref(g);
+        if (ref.shard == 1 && ref.local < static_cast<NodeId>(locals.size())) {
+          touched.insert(ref.local);
+        }
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "version " << version << ", "
+                                      << touched.size() << " rows touched");
+    EXPECT_EQ(read_shard1(version), locals.size() - touched.size());
+    EXPECT_LE(cache.version_invalidations.load() - invalidations,
+              touched.size());
+    EXPECT_EQ(read_shard1(version), locals.size());
+    touched_total += touched.size();
+  }
+  EXPECT_GT(touched_total, 1u);
+}
+
+// Readers on two machines of a halo plus 64-row-cache cluster, at the
+// newest version and the one before it, while batches land and every
+// shard compacts: each answer equals the frozen copy at its pin.
+TEST_F(MutationFixture, ConcurrentHaloAndCacheReadersMatchFrozenCopy) {
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = kEps};
+  const auto stream = mutation_stream(graph_, 10, 20, 0.6, 17);
+
+  // Expected answers at every version from a halo-on copy that reads each
+  // version while it is the newest.
+  auto frozen = make_cluster(/*halo=*/true);
+  const std::vector<NodeRef> sources = {pick_sources(*frozen, 0, 1)[0],
+                                        pick_sources(*frozen, 1, 1)[0]};
+  std::vector<std::vector<Entries>> want(stream.size() + 1);
+  for (std::size_t v = 0; v <= stream.size(); ++v) {
+    if (v > 0) frozen->apply_edge_mutations(stream[v - 1]);
+    for (const NodeRef src : sources) {
+      want[v].push_back(sorted_ppr(compute_ssppr(
+          frozen->storage(src.shard), src, ppr, pinned_driver(v))));
+    }
+  }
+
+  auto cluster = make_cluster(/*halo=*/true, /*cache_rows=*/64);
+  std::atomic<bool> done{false};
+  std::thread mutator([&] {
+    for (std::size_t b = 0; b < stream.size(); ++b) {
+      cluster->apply_edge_mutations(stream[b]);
+      if (b % 4 == 3) cluster->compact_all();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const auto read = [&](std::size_t q) {
+    int rounds = 0;
+    while (!done.load(std::memory_order_acquire) || rounds < 3) {
+      const std::uint64_t latest = cluster->graph_version();
+      for (const std::uint64_t pin : {latest, latest > 0 ? latest - 1 : 0}) {
+        const SspprState got =
+            compute_ssppr(cluster->storage(sources[q].shard), sources[q], ppr,
+                          pinned_driver(pin));
+        expect_identical(sorted_ppr(got), want[pin][q],
+                         "pin " + std::to_string(pin));
+      }
+      ++rounds;
+    }
+  };
+  std::thread reader([&] { read(1); });
+  read(0);
+  reader.join();
+  mutator.join();
+  EXPECT_EQ(cluster->graph_version(), stream.size());
+  EXPECT_GT(cluster->total_adjacency_cache_hits(), 0u);
 }
 
 }  // namespace

@@ -396,7 +396,8 @@ TEST_F(ElasticClusterTest, FailoverPromotesReplicaBitIdentically) {
   }
   DistGraphStorage promoted(cluster_->endpoint(0), rrefs,
                             cluster_->service(0).store_ptr(2),
-                            std::make_shared<VersionTracker>(kMachines),
+                            std::make_shared<VersionTracker>(
+                                cluster_->mapping()),
                             ShardMap(*cluster_->routing(0).current()));
   const serve::QueryResult after = run_query(promoted, source);
   ASSERT_EQ(after.status, serve::QueryStatus::kOk);

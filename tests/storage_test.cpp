@@ -172,6 +172,7 @@ class DistStorageFixture : public ShardFixture {
  protected:
   void SetUp() override {
     ShardFixture::SetUp();
+    tracker_ = std::make_shared<VersionTracker>(sharded_.mapping);
     transport_ =
         std::make_shared<InProcTransport>(kShards, NetworkModel{0, 0});
     for (int m = 0; m < kShards; ++m) {
@@ -184,8 +185,7 @@ class DistStorageFixture : public ShardFixture {
     }
   }
 
-  std::shared_ptr<VersionTracker> tracker_ =
-      std::make_shared<VersionTracker>(kShards);
+  std::shared_ptr<VersionTracker> tracker_;
   std::shared_ptr<Transport> transport_;
   std::vector<std::unique_ptr<Machine>> machines_;
   std::vector<std::shared_ptr<DistGraphStorage>> storages_;

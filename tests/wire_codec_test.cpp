@@ -415,6 +415,31 @@ TEST_F(WireCodecFixture, DecodeRejectsHostileFrames) {
     EXPECT_THROW((void)decode_with(first_halo_row, std::uint32_t{1000000}),
                  InvalidArgument);
   }
+  // Tensor-list responses (the Single and +Batch rungs' uncompressed
+  // format): a row count the payload cannot hold is rejected before
+  // anything is reserved for it, and a ragged row as malformed input.
+  for (const std::uint64_t count : {std::uint64_t{1} << 62,
+                                    std::uint64_t{1} << 40,
+                                    ~std::uint64_t{0}}) {
+    ByteWriter w;
+    w.write<std::uint64_t>(count);
+    w.write<float>(1.0f);
+    ByteReader r(w.bytes());
+    EXPECT_THROW((void)NeighborBatch::decode_tensor_list(r), InvalidArgument)
+        << "count " << count;
+  }
+  {
+    ByteWriter w;
+    w.write<std::uint64_t>(1);
+    w.write<float>(1.0f);
+    w.write_tensor(std::vector<NodeId>{1, 2});
+    w.write_tensor(std::vector<ShardId>{0, 0});
+    w.write_tensor(std::vector<float>{1.0f});  // one weight for two edges
+    w.write_tensor(std::vector<float>{1.0f, 1.0f});
+    w.write_tensor(std::vector<NodeId>{1, 2});
+    ByteReader r(w.bytes());
+    EXPECT_THROW((void)NeighborBatch::decode_tensor_list(r), InvalidArgument);
+  }
 }
 
 TEST(BufferPoolTest, RecyclesReleasedBuffers) {
