@@ -99,10 +99,14 @@ void ClusterNode::request_shutdown() {
 
 void ClusterNode::run() {
   {
+    // request_shutdown() sets the flag and notifies without taking this
+    // mutex (a signal handler calls it), so its notify can land between
+    // the predicate check and the wait and be lost; the bounded wait
+    // re-checks the flag instead of sleeping through it for good.
     std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [this] {
-      return shutdown_requested_.load(std::memory_order_acquire);
-    });
+    while (!shutdown_requested_.load(std::memory_order_acquire)) {
+      shutdown_cv_.wait_for(lock, std::chrono::milliseconds(20));
+    }
   }
   shutdown();
 }
@@ -292,21 +296,35 @@ std::vector<std::uint8_t> ClusterNode::handle_mutate(
   MutationOutcome outcome = machine_->apply_mutations(req.ops);
 
   // Announce to every storage peer BEFORE replying, so a client's
-  // follow-up query to any node already pins the new version.
+  // follow-up query to any node already pins the new version. Every
+  // announce is in flight at once; then each is awaited. A peer that
+  // misses one still serves coherent (older) snapshots and catches up on
+  // the next announce.
   VersionAnnounce ann;
   ann.version = outcome.version;
   ann.shards = std::move(outcome.mutated);
   const std::vector<std::uint8_t> payload = encode_version_announce(ann);
+  const auto warn = [](int peer, const std::exception& e) {
+    GE_LOG(kWarn) << "version announce to node " << peer
+                  << " failed: " << e.what();
+  };
+  std::vector<std::pair<int, RpcFuture>> acks;
   for (int peer = 0; peer < config_.num_storage_nodes(); ++peer) {
     if (peer == node_id_ || transport_->peer_departed(peer)) continue;
     try {
-      call_node(peer, kMethodVersionAnnounce,
-                std::vector<std::uint8_t>(payload));
+      acks.emplace_back(peer, machine_->endpoint().async_call(
+                                  peer, kQueryServiceName,
+                                  kMethodVersionAnnounce,
+                                  std::vector<std::uint8_t>(payload)));
     } catch (const std::exception& e) {
-      // A peer that misses the announce still serves coherent (older)
-      // snapshots; it catches up on the next announce.
-      GE_LOG(kWarn) << "version announce to node " << peer
-                    << " failed: " << e.what();
+      warn(peer, e);
+    }
+  }
+  for (auto& [peer, ack] : acks) {
+    try {
+      (void)ack.wait();
+    } catch (const std::exception& e) {
+      warn(peer, e);
     }
   }
   MutateReply reply;

@@ -162,7 +162,10 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Sequential reader over a byte buffer produced by ByteWriter.
+/// Sequential reader over a byte buffer produced by ByteWriter. The
+/// bytes may come off the wire, so every bounds or shape violation is
+/// malformed input and throws InvalidArgument; the position never passes
+/// the end.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -171,7 +174,7 @@ class ByteReader {
   T read() {
     static_assert(std::is_trivially_copyable_v<T>);
     T v;
-    GE_CHECK(pos_ + sizeof(T) <= data_.size(), "serialized buffer underflow");
+    GE_REQUIRE(sizeof(T) <= remaining(), "serialized buffer underflow");
     std::memcpy(&v, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
@@ -238,22 +241,25 @@ class ByteReader {
     pos_ += n;
   }
 
+  /// A tensor-wrapped array, alignment padding included: a frame that
+  /// ends inside the padding is truncated.
   template <typename T>
   std::vector<T> read_tensor() {
     detail::pay_tensor_marshal();
-    GE_CHECK(pos_ + kTensorHeaderBytes <= data_.size(),
-             "serialized buffer underflow");
+    GE_REQUIRE(kTensorHeaderBytes <= remaining(),
+               "serialized buffer underflow");
     std::uint64_t n;
     std::memcpy(&n, data_.data() + pos_, sizeof(n));
-    GE_CHECK(data_[pos_ + 8] == sizeof(T), "tensor dtype mismatch");
+    GE_REQUIRE(data_[pos_ + 8] == sizeof(T), "tensor dtype mismatch");
     pos_ += kTensorHeaderBytes;
-    GE_CHECK(n <= (data_.size() - pos_) / sizeof(T),
-             "serialized buffer underflow");
+    GE_REQUIRE(n <= remaining() / sizeof(T), "serialized buffer underflow");
+    const std::size_t bytes = n * sizeof(T);
+    const std::size_t rem = bytes % kTensorAlignBytes;
+    const std::size_t pad = rem == 0 ? 0 : kTensorAlignBytes - rem;
+    GE_REQUIRE(pad <= remaining() - bytes, "tensor padding truncated");
     std::vector<T> v(n);
-    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
-    pos_ += n * sizeof(T);
-    const std::size_t rem = (n * sizeof(T)) % kTensorAlignBytes;
-    if (rem != 0) pos_ += kTensorAlignBytes - rem;
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, bytes);
+    pos_ += bytes + pad;
     return v;
   }
 

@@ -3,8 +3,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "common/check.hpp"
 #include "rpc/buffer_pool.hpp"
@@ -85,20 +87,33 @@ ReadStatus read_frame(int fd, std::vector<std::uint8_t>& header_scratch,
     out_control = static_cast<ControlCode>(lens[1]);
     return ReadStatus::kControl;
   }
+  GE_REQUIRE(lens[0] <= kMaxHeaderBytes,
+             "frame header length " + std::to_string(lens[0]) +
+                 " exceeds " + std::to_string(kMaxHeaderBytes));
   header_scratch.resize(lens[0]);
   if (!read_exact(fd, header_scratch.data(), lens[0])) {
     return ReadStatus::kClosed;
   }
   std::uint64_t expected = 0;
   out = Message::decode_header(header_scratch, &expected);
-  GE_CHECK(expected == lens[1], "frame payload length mismatch");
+  GE_REQUIRE(expected == lens[1], "frame payload length mismatch");
   // The payload is read straight into a pool-recycled buffer that becomes
-  // msg.payload — no flat frame, no second copy.
-  std::vector<std::uint8_t> payload = BufferPool::global().acquire(lens[1]);
-  payload.resize(lens[1]);
-  if (lens[1] != 0 && !read_exact(fd, payload.data(), lens[1])) {
-    BufferPool::global().release(std::move(payload));
-    return ReadStatus::kClosed;
+  // msg.payload — no flat frame, no second copy. Past the first chunk the
+  // buffer doubles only as bytes arrive, so a length the peer never sends
+  // costs at most twice what it did send.
+  const std::uint64_t len = lens[1];
+  std::vector<std::uint8_t> payload =
+      BufferPool::global().acquire(std::min(len, kPayloadChunkBytes));
+  std::uint64_t have = 0;
+  while (have < len) {
+    const std::uint64_t next =
+        std::min(len, std::max(2 * have, kPayloadChunkBytes));
+    payload.resize(next);
+    if (!read_exact(fd, payload.data() + have, next - have)) {
+      BufferPool::global().release(std::move(payload));
+      return ReadStatus::kClosed;
+    }
+    have = next;
   }
   out.payload = std::move(payload);
   return ReadStatus::kMessage;

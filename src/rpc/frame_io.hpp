@@ -27,6 +27,14 @@ namespace ppr::frame_io {
 /// control code. Data frames always carry a real header length here.
 inline constexpr std::uint64_t kControlTag = ~std::uint64_t{0};
 
+/// Largest frame header read_frame accepts. A header is a few fixed
+/// fields plus the service, method and error strings.
+inline constexpr std::uint64_t kMaxHeaderBytes = std::uint64_t{1} << 20;
+
+/// Payload bytes read_frame acquires before any arrive; a longer payload
+/// grows as its bytes arrive.
+inline constexpr std::uint64_t kPayloadChunkBytes = std::uint64_t{1} << 20;
+
 /// Control codes carried by control frames.
 enum class ControlCode : std::uint64_t {
   kReady = 1,  // bootstrap barrier: "my mesh links are all up"
@@ -62,9 +70,12 @@ void write_control(int fd, std::mutex& write_mutex, ControlCode code);
 
 /// Read one frame. On kMessage, `out` holds the decoded message with its
 /// payload read straight into a pool-recycled buffer; on kControl,
-/// `out_control` holds the code; on kClosed the link is finished.
-/// `header_scratch` is reused across calls to keep the loop allocation-
-/// free once warm.
+/// `out_control` holds the code; on kClosed the link is finished (EOF,
+/// also mid-frame). A malformed frame — a header longer than
+/// kMaxHeaderBytes, a header that does not decode, or a payload length
+/// the header contradicts — throws InvalidArgument; the stream is then
+/// out of sync and the link unusable. `header_scratch` is reused across
+/// calls to keep the loop allocation-free once warm.
 ReadStatus read_frame(int fd, std::vector<std::uint8_t>& header_scratch,
                       Message& out, ControlCode& out_control);
 

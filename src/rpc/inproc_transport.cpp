@@ -1,22 +1,32 @@
 #include "rpc/inproc_transport.hpp"
 
-#include <chrono>
+#include <sys/prctl.h>
+
+#include <algorithm>
 
 #include "common/check.hpp"
-#include "common/timer.hpp"
 
 namespace ppr {
 
 namespace {
-/// Delay delivery by sleeping. Sleeping (not spinning) matters: the
-/// simulation may run on far fewer cores than it has machine threads, and
-/// a delayed message must leave the CPU to the computing processes —
-/// exactly what a real NIC does. Kernel timer granularity adds tens of
-/// microseconds, which is in line with a real RPC stack's jitter.
-void delivery_delay_us(double us) {
-  if (us <= 0) return;
-  std::this_thread::sleep_for(
-      std::chrono::nanoseconds(static_cast<long>(us * 1e3)));
+using Clock = std::chrono::steady_clock;
+
+/// Due time of a message the network model does not delay. It precedes
+/// every real time, so the dispatcher delivers it without a clock read.
+constexpr Clock::time_point kDueNow = Clock::time_point::min();
+
+/// (due, seq) ordering that turns the std max-heap algorithms into a
+/// min-heap.
+struct Later {
+  template <typename P>
+  bool operator()(const P& a, const P& b) const {
+    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+  }
+};
+
+Clock::duration micros(double us) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::micro>(us));
 }
 }  // namespace
 
@@ -46,18 +56,69 @@ void InProcTransport::send(Message msg) {
              "dst_machine out of range");
   Box& box = *boxes_[static_cast<std::size_t>(msg.dst_machine)];
   GE_CHECK(box.started, "destination machine not started");
-  box.inbox.push(std::move(msg));
+  const bool modeled =
+      model_.enabled() && msg.src_machine != msg.dst_machine;
+  Clock::time_point arrival = kDueNow;
+  Clock::duration transfer{};
+  if (modeled) {
+    arrival = Clock::now() + micros(model_.latency_us);
+    transfer = micros(model_.transfer_us(msg.wire_size()));
+  }
+  bool earliest = false;
+  {
+    std::lock_guard<std::mutex> lock(box.mutex);
+    if (box.closed) return;  // the destination detached: drop
+    Clock::time_point due = kDueNow;
+    if (modeled) {
+      // The bytes stream in once the link is free; nic_free only grows,
+      // so due times never decrease per destination.
+      due = std::max(arrival, box.nic_free) + transfer;
+      box.nic_free = due;
+    }
+    const std::uint64_t seq = box.next_seq++;
+    box.heap.push_back(Pending{due, seq, std::move(msg)});
+    std::push_heap(box.heap.begin(), box.heap.end(), Later{});
+    earliest = box.heap.front().seq == seq;
+  }
+  // A message that is not the earliest cannot move the dispatcher's
+  // wake-up time.
+  if (earliest) box.cv.notify_one();
 }
 
 void InProcTransport::dispatch_loop(Box& box) {
+  // The dispatcher sleeps until a message is due rather than spinning:
+  // the simulation may run on fewer cores than it has machine threads,
+  // and waiting for the network must leave the CPU to the computing
+  // processes. It wakes at the due time itself, not up to the default
+  // 50 µs of timer slack later; this sets the slack of this thread only.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  std::unique_lock<std::mutex> lock(box.mutex);
   for (;;) {
-    auto msg = box.inbox.pop();
-    if (!msg.has_value()) return;
-    if (model_.enabled() && msg->src_machine != msg->dst_machine) {
-      delivery_delay_us(model_.delay_us(msg->wire_size()));
+    if (box.heap.empty()) {
+      if (box.closed) return;
+      box.cv.wait(lock);
+      continue;
     }
-    box.handler(std::move(*msg));
+    const Clock::time_point due = box.heap.front().due;
+    if (due != kDueNow && Clock::now() < due) {
+      box.cv.wait_until(lock, due);
+      continue;
+    }
+    std::pop_heap(box.heap.begin(), box.heap.end(), Later{});
+    Message msg = std::move(box.heap.back().msg);
+    box.heap.pop_back();
+    lock.unlock();
+    box.handler(std::move(msg));
+    lock.lock();
   }
+}
+
+void InProcTransport::close(Box& box) {
+  {
+    std::lock_guard<std::mutex> lock(box.mutex);
+    box.closed = true;
+  }
+  box.cv.notify_all();
 }
 
 void InProcTransport::detach(int machine_id) {
@@ -65,18 +126,18 @@ void InProcTransport::detach(int machine_id) {
              "machine_id out of range");
   Box& box = *boxes_[static_cast<std::size_t>(machine_id)];
   if (!box.started) return;
-  // Closing the inbox makes the dispatcher drain and exit; joining it
-  // guarantees no thread is inside box.handler afterwards. `started`
-  // stays true so late peer sends are queued (and dropped) rather than
-  // failing the send-side check.
-  box.inbox.close();
+  // Closing makes the dispatcher deliver what is queued and exit; joining
+  // it guarantees no thread is inside box.handler afterwards. `started`
+  // stays true so a late peer send is dropped rather than failing the
+  // send-side check.
+  close(box);
   if (box.dispatcher.joinable()) box.dispatcher.join();
 }
 
 void InProcTransport::stop() {
   if (stopped_) return;
   stopped_ = true;
-  for (auto& box : boxes_) box->inbox.close();
+  for (auto& box : boxes_) close(*box);
   for (auto& box : boxes_) {
     if (box->dispatcher.joinable()) box->dispatcher.join();
   }

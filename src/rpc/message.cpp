@@ -56,7 +56,7 @@ Message Message::decode_header(std::span<const std::uint8_t> header,
   m.method = r.read_string();
   m.error = r.read_string();
   const auto len = r.read<std::uint64_t>();
-  GE_CHECK(r.done(), "trailing bytes in message header");
+  GE_REQUIRE(r.done(), "trailing bytes in message header");
   if (payload_len != nullptr) *payload_len = len;
   return m;
 }
@@ -74,7 +74,7 @@ Message Message::decode(std::span<const std::uint8_t> frame) {
   m.method = r.read_string();
   m.error = r.read_string();
   m.payload = r.read_vec<std::uint8_t>();
-  GE_CHECK(r.done(), "trailing bytes in message frame");
+  GE_REQUIRE(r.done(), "trailing bytes in message frame");
   return m;
 }
 

@@ -449,7 +449,27 @@ void TcpTransport::reader_loop(int peer, int fd) {
   for (;;) {
     Message msg;
     frame_io::ControlCode control{};
-    switch (frame_io::read_frame(fd, header, msg, control)) {
+    frame_io::ReadStatus status{};
+    try {
+      status = frame_io::read_frame(fd, header, msg, control);
+    } catch (const InvalidArgument& e) {
+      // The stream is out of sync past a malformed frame: close the link
+      // as if the peer had died, so its pending calls fail instead of
+      // hanging and this node keeps serving everyone else.
+      GE_LOG(kWarn) << "node " << local_node_ << ": closing the link from "
+                    << "peer " << peer << " after a malformed frame: "
+                    << e.what();
+      ::shutdown(fd, SHUT_RDWR);
+      if (peer != local_node_) {
+        if (!departed_[static_cast<std::size_t>(peer)].exchange(
+                true, std::memory_order_acq_rel)) {
+          peers_departed_.add(1);
+        }
+        if (peer_down_) peer_down_(peer);
+      }
+      return;
+    }
+    switch (status) {
       case frame_io::ReadStatus::kClosed:
         // EOF without a LEAVE is only suspicious while WE are still a
         // mesh member — our own leave/detach/stop shuts these fds too.

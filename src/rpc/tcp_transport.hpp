@@ -34,6 +34,8 @@
 // are still in flight and must reach their futures. An EOF without kLeave
 // is logged as an unclean disconnect. Either way EOF fires the endpoint's
 // peer-down hook so calls pending on a dead peer fail instead of hanging.
+// A malformed frame closes its link the same way: it is logged, the peer
+// is marked departed and the hook fires; the node keeps serving the rest.
 #pragma once
 
 #include <atomic>

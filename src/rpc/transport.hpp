@@ -3,9 +3,12 @@
 // Two implementations:
 //   * InProcTransport — simulated machines inside one process, with a
 //     configurable network cost model (per-message latency + bandwidth).
-//     This reproduces the paper's single-server simulation of a cluster
-//     while keeping the fixed per-RPC overhead that makes small frequent
-//     messages expensive (the phenomenon §3.2.3 optimizes away).
+//     Latency overlaps: concurrent calls to one machine pay it once
+//     between them, while their bytes serialize on the destination's
+//     receive link. This reproduces the paper's single-server simulation
+//     of a cluster while keeping the fixed per-RPC overhead that makes
+//     small frequent messages expensive (the phenomenon §3.2.3 optimizes
+//     away) and that keeping calls in flight together hides (Overlap).
 //   * TcpTransport — one node of a real TCP mesh with length-prefixed
 //     frames (rpc/tcp_transport.hpp). The K nodes are normally separate
 //     processes; tests also run a loopback mesh inside one process.
@@ -24,18 +27,22 @@ using MessageHandler = std::function<void(Message)>;
 /// Cost model applied per delivered message by InProcTransport.
 /// Defaults approximate a TensorPipe-class RPC stack over fast
 /// interconnect: ~100µs fixed cost per call (Python + serialization +
-/// transport), multi-GB/s streaming rate.
+/// transport), multi-GB/s streaming rate. The latency of concurrent
+/// messages overlaps; their transfer times queue per destination.
 struct NetworkModel {
   double latency_us = 100.0;         // fixed per-message delivery latency
   double bandwidth_gbps = 8.0;       // payload streaming rate
   bool enabled() const { return latency_us > 0 || bandwidth_gbps > 0; }
-  /// Delivery delay in microseconds for a message of `bytes` bytes.
+  /// Time in microseconds that `bytes` bytes occupy the receive link.
+  double transfer_us(std::size_t bytes) const {
+    return bandwidth_gbps > 0
+               ? static_cast<double>(bytes) * 8.0 / (bandwidth_gbps * 1e3)
+               : 0.0;
+  }
+  /// Delivery delay in microseconds of a message of `bytes` bytes sent
+  /// over an idle link.
   double delay_us(std::size_t bytes) const {
-    double us = latency_us;
-    if (bandwidth_gbps > 0) {
-      us += static_cast<double>(bytes) * 8.0 / (bandwidth_gbps * 1e3);
-    }
-    return us;
+    return latency_us + transfer_us(bytes);
   }
 };
 

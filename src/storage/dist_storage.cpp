@@ -452,7 +452,16 @@ SampleResult DistGraphStorage::sample_one_neighbor(
   return sample_one_neighbor_async(dst, locals, seed, graph_version).wait();
 }
 
-std::vector<float> DistGraphStorage::get_weighted_degrees(
+std::vector<float> WeightedDegreeFetch::wait() {
+  std::vector<std::uint8_t> payload =
+      call_.storage->await_storage_reply(future_, call_);
+  ByteReader r(std::span<const std::uint8_t>(payload).subspan(1));
+  auto degs = r.read_vec<float>();
+  BufferPool::global().release(std::move(payload));
+  return degs;
+}
+
+WeightedDegreeFetch DistGraphStorage::get_weighted_degrees(
     ShardId dst, std::span<const NodeId> locals,
     std::uint64_t graph_version) const {
   StorageCall call(this, storage_method::kGetWeightedDegs, dst);
@@ -461,13 +470,7 @@ std::vector<float> DistGraphStorage::get_weighted_degrees(
   w.write_span(locals);
   call.request = w.take();
   RpcFuture future = issue_storage_call(call);
-  std::vector<std::uint8_t> payload = await_storage_reply(future, call);
-  ByteReader r(payload);
-  GE_REQUIRE(r.read<std::uint8_t>() == kStorageReplyOk,
-             "storage reply not OK");
-  auto degs = r.read_vec<float>();
-  BufferPool::global().release(std::move(payload));
-  return degs;
+  return WeightedDegreeFetch(std::move(future), std::move(call));
 }
 
 }  // namespace ppr

@@ -201,6 +201,23 @@ class KSampleFetch {
   StorageCall call_;
 };
 
+/// Pending kGetWeightedDegs RPC — the mutation coordinator's hint read.
+/// wait() drives the retry plane and decodes one degree per requested
+/// row.
+class WeightedDegreeFetch {
+ public:
+  WeightedDegreeFetch() = default;
+  WeightedDegreeFetch(RpcFuture future, StorageCall call)
+      : future_(std::move(future)), call_(std::move(call)) {}
+
+  bool valid() const { return future_.valid(); }
+  std::vector<float> wait();
+
+ private:
+  RpcFuture future_;
+  StorageCall call_;
+};
+
 /// Per-call timeout / bounded-retry knobs of the failover plane. A zero
 /// timeout means wait forever (in-process transports can't lose peers
 /// silently); attempts counts the first try.
@@ -371,13 +388,14 @@ class DistGraphStorage {
   static KSampleResult decode_k_sample(
       std::span<const std::uint8_t> payload);
 
-  /// Weighted degrees of core nodes of shard `dst` at `graph_version`,
-  /// fetched by kGetWeightedDegs — the mutation coordinator's pre-insert
-  /// hint (EdgeInsert::nbr_weighted_deg) for a shard its machine does not
-  /// hold (see Machine::apply_mutations).
-  std::vector<float> get_weighted_degrees(ShardId dst,
-                                          std::span<const NodeId> locals,
-                                          std::uint64_t graph_version) const;
+  /// Issue a kGetWeightedDegs read of core nodes of shard `dst` at
+  /// `graph_version` — the mutation coordinator's pre-insert hint
+  /// (EdgeInsert::nbr_weighted_deg) for a shard its machine does not hold
+  /// (see Machine::apply_mutations). Returns at once; the coordinator
+  /// keeps every shard's read in flight together.
+  WeightedDegreeFetch get_weighted_degrees(ShardId dst,
+                                           std::span<const NodeId> locals,
+                                           std::uint64_t graph_version) const;
 
   FetchStats& stats() const { return stats_; }
 

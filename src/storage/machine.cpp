@@ -1,9 +1,22 @@
 #include "storage/machine.hpp"
 
+#include <algorithm>
+#include <exception>
+
 #include "obs/metrics.hpp"
 #include "rpc/buffer_pool.hpp"
 
 namespace ppr {
+
+namespace {
+/// Wait for a kMutateEdges ack and check it.
+void await_mutation(RpcFuture& ack) {
+  std::vector<std::uint8_t> payload = ack.wait();
+  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
+             "mutate_edges reply not OK");
+  BufferPool::global().release(std::move(payload));
+}
+}  // namespace
 
 Machine::Machine(std::shared_ptr<Transport> transport, int id,
                  ShardMap initial_map, std::shared_ptr<VersionTracker> tracker,
@@ -94,17 +107,15 @@ std::shared_ptr<DistGraphStorage> Machine::any_client() const {
   return clients_.begin()->second;
 }
 
-void Machine::send_mutation(int node, ShardId shard, std::uint64_t version,
-                            const MutationBatch& batch) {
+RpcFuture Machine::issue_mutation(int node, ShardId shard,
+                                  std::uint64_t version,
+                                  const MutationBatch& batch) {
   // The header's graph version is the version the batch creates.
   ByteWriter w(BufferPool::global().acquire());
   write_storage_header(w, shard, routing_->epoch(), version);
   batch.encode(w);
-  std::vector<std::uint8_t> payload = endpoint_->sync_call(
-      node, kStorageServiceName, storage_method::kMutateEdges, w.take());
-  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
-             "mutate_edges reply not OK");
-  BufferPool::global().release(std::move(payload));
+  return endpoint_->async_call(node, kStorageServiceName,
+                               storage_method::kMutateEdges, w.take());
 }
 
 MutationOutcome Machine::apply_mutations(
@@ -155,49 +166,98 @@ MutationOutcome Machine::apply_mutations(
   }
 
   // --- Hints: one weighted-degree read per shard with pending slots.
+  // Every remote read is issued before the local ones run, so they all
+  // fly together.
+  std::vector<std::shared_ptr<VersionedShardStore>> held(ns);
+  std::vector<WeightedDegreeFetch> remote(ns);
   for (std::size_t s = 0; s < ns; ++s) {
     if (hint_locals[s].empty()) continue;
     const auto shard = static_cast<ShardId>(s);
-    std::vector<float> degs;
-    if (const auto store = service_->store_ptr(shard)) {
-      const auto snap = store->snapshot(version - 1);
-      degs.reserve(hint_locals[s].size());
-      for (const NodeId local : hint_locals[s]) {
-        degs.push_back(snap->weighted_degree(local));
-      }
-    } else {
-      degs = any_client()->get_weighted_degrees(shard, hint_locals[s],
-                                                version - 1);
-      GE_REQUIRE(degs.size() == hint_locals[s].size(),
+    held[s] = service_->store_ptr(shard);
+    if (held[s] == nullptr) {
+      remote[s] = any_client()->get_weighted_degrees(shard, hint_locals[s],
+                                                     version - 1);
+    }
+  }
+  std::vector<std::vector<float>> degs(ns);
+  for (std::size_t s = 0; s < ns; ++s) {
+    if (held[s] == nullptr) continue;
+    const auto snap = held[s]->snapshot(version - 1);
+    degs[s].reserve(hint_locals[s].size());
+    for (const NodeId local : hint_locals[s]) {
+      degs[s].push_back(snap->weighted_degree(local));
+    }
+  }
+  for (std::size_t s = 0; s < ns; ++s) {
+    if (remote[s].valid()) {
+      degs[s] = remote[s].wait();
+      GE_REQUIRE(degs[s].size() == hint_locals[s].size(),
                  "weighted-degree reply has the wrong length");
     }
-    for (std::size_t i = 0; i < degs.size(); ++i) {
+    for (std::size_t i = 0; i < degs[s].size(); ++i) {
       const auto [dst_shard, idx] = hint_slots[s][i];
-      batches[dst_shard].inserts[idx].nbr_weighted_deg = degs[i];
+      batches[dst_shard].inserts[idx].nbr_weighted_deg = degs[s][i];
     }
   }
 
-  // --- Land: owner first, then replicas, each acked before the next —
-  // every copy of a shard sees versions in the same strictly ascending
-  // order.
-  MutationOutcome out;
-  out.version = version;
-  const auto land = [&](int node, ShardId shard) {
-    const MutationBatch& batch = batches[static_cast<std::size_t>(shard)];
-    if (node != id_) {
-      send_mutation(node, shard, version, batch);
-      return;
-    }
-    const auto store = service_->store_ptr(shard);
-    GE_REQUIRE(store != nullptr, "routing names a shard we dropped");
-    store->apply(version, MutationBatch(batch));
-  };
+  // --- Land in waves: wave k ships each mutated shard's batch to that
+  // shard's k-th copy, the owner first. Copies held here apply in place
+  // while the wave's RPCs fly, and a wave starts only once every ack of
+  // the one before is in — so every copy of a shard sees versions in the
+  // same strictly ascending order, and nothing is in flight on return.
+  std::vector<std::vector<int>> copies(ns);
+  std::size_t waves = 0;
   for (std::size_t s = 0; s < ns; ++s) {
     if (batches[s].empty()) continue;
     const auto shard = static_cast<ShardId>(s);
-    land(map->node_of(shard), shard);
-    for (const std::int32_t rep : map->replicas(shard)) land(rep, shard);
-    out.mutated.push_back(ShardRows{shard, batches[s].source_rows()});
+    copies[s].push_back(map->node_of(shard));
+    for (const std::int32_t rep : map->replicas(shard)) {
+      copies[s].push_back(rep);
+    }
+    waves = std::max(waves, copies[s].size());
+  }
+  for (std::size_t k = 0; k < waves; ++k) {
+    std::vector<RpcFuture> acks;
+    // The first error is raised, but only once every issued ack is in.
+    std::exception_ptr error;
+    try {
+      std::vector<ShardId> here;
+      for (std::size_t s = 0; s < ns; ++s) {
+        if (copies[s].size() <= k) continue;
+        const auto shard = static_cast<ShardId>(s);
+        if (copies[s][k] == id_) {
+          here.push_back(shard);
+        } else {
+          acks.push_back(
+              issue_mutation(copies[s][k], shard, version, batches[s]));
+        }
+      }
+      for (const ShardId shard : here) {
+        const auto store = service_->store_ptr(shard);
+        GE_REQUIRE(store != nullptr, "routing names a shard we dropped");
+        store->apply(version, MutationBatch(
+                                  batches[static_cast<std::size_t>(shard)]));
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+    for (RpcFuture& ack : acks) {
+      try {
+        await_mutation(ack);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+  // --- Publish once every copy has acked.
+  MutationOutcome out;
+  out.version = version;
+  for (std::size_t s = 0; s < ns; ++s) {
+    if (batches[s].empty()) continue;
+    out.mutated.push_back(
+        ShardRows{static_cast<ShardId>(s), batches[s].source_rows()});
   }
   tracker_->publish(version, out.mutated);
   return out;

@@ -94,9 +94,12 @@ class Machine {
   /// undirected global-id edge ops as the next graph version.
   ///   1. Translate each op into both endpoints' shard batches.
   ///   2. Fill each insert's weighted-degree hint at version − 1, from a
-  ///      copy this machine holds or else by kGetWeightedDegs.
-  ///   3. Land each shard's batch on its owner, then on each replica,
-  ///      each acked before the next; copies held here apply in place.
+  ///      copy this machine holds or else by kGetWeightedDegs; every
+  ///      remote read is in flight at once.
+  ///   3. Land in waves: wave k ships each shard's batch to its k-th copy
+  ///      (the owner is wave 0) with every RPC in flight at once; copies
+  ///      held here apply in place meanwhile. A wave starts only after
+  ///      every ack of the previous one.
   ///   4. Publish on this machine's tracker, noting each shard's changed
   ///      rows (the distinct source rows of its batch) first.
   /// Batches are serialized per machine.
@@ -109,10 +112,10 @@ class Machine {
  private:
   /// Any client this machine holds — the carrier of coordinator RPCs.
   std::shared_ptr<DistGraphStorage> any_client() const;
-  /// Ship `batch` to `node`'s copy of `shard` as `version`; blocks for
-  /// the ack. Addressed to that node, never load-balanced.
-  void send_mutation(int node, ShardId shard, std::uint64_t version,
-                     const MutationBatch& batch);
+  /// Ship `batch` to `node`'s copy of `shard` as `version`; returns the
+  /// pending ack. Addressed to that node, never load-balanced.
+  RpcFuture issue_mutation(int node, ShardId shard, std::uint64_t version,
+                           const MutationBatch& batch);
 
   int id_;
   const GlobalMapping& mapping_;

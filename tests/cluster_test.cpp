@@ -38,6 +38,7 @@
 #include "graph/io.hpp"
 #include "ppr/bfs.hpp"
 #include "ppr/random_walk.hpp"
+#include "rpc/endpoint.hpp"
 #include "rpc/frame_io.hpp"
 #include "rpc/tcp_transport.hpp"
 #include "rpc/wire_protocol.hpp"
@@ -608,32 +609,37 @@ HelloStatus probe_handshake(std::uint16_t port, const HelloFrame& hello,
   return static_cast<HelloStatus>(reply.status);
 }
 
+/// A loopback listener standing in for a hand-rolled node 1; `port`
+/// receives its ephemeral port.
+int fake_node_listener(std::uint16_t& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::listen(fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
 TEST(TcpTransportWire, RejectsForgedHellosAndRunsBarrier) {
   // Play node 1 by hand against a real node-0 bootstrap: a fake listener
   // accepts T0's outbound link, forged HELLOs probe T0's acceptor, and
   // the barrier control frames are exchanged manually.
-  const int fake_listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fake_listener, 0);
-  const int one = 1;
-  ::setsockopt(fake_listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fake_listener, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(fake_listener, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(fake_listener,
-                          reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
+  std::uint16_t fake_port = 0;
+  const int fake_listener = fake_node_listener(fake_port);
 
   TcpTransportOptions options;
   options.shard_epoch = 1;
   options.shard_fingerprint = 77;
   options.connect_timeout_s = 20.0;
   std::vector<TcpPeer> peers = {TcpPeer{"127.0.0.1", 0},
-                                TcpPeer{"127.0.0.1", ntohs(addr.sin_port)}};
+                                TcpPeer{"127.0.0.1", fake_port}};
   TcpTransport t0(0, peers, options);
 
   std::exception_ptr mesh_error;
@@ -739,6 +745,84 @@ TEST(TcpTransportWire, RejectsForgedHellosAndRunsBarrier) {
   EXPECT_FALSE(barrier_error) << "barrier failed";
 
   t0.stop();
+  ::close(to_t0);
+  ::close(from_t0);
+  ::close(fake_listener);
+}
+
+// A mesh member that sends a malformed frame after the barrier loses its
+// link — the call pending on it fails instead of hanging, and later sends
+// to it raise RpcError — while the node keeps serving.
+TEST(TcpTransportWire, MalformedFrameClosesOnlyThatLink) {
+  std::uint16_t fake_port = 0;
+  const int fake_listener = fake_node_listener(fake_port);
+  TcpTransportOptions options;
+  options.connect_timeout_s = 20.0;
+  std::vector<TcpPeer> peers = {TcpPeer{"127.0.0.1", 0},
+                                TcpPeer{"127.0.0.1", fake_port}};
+  auto t0 = std::make_shared<TcpTransport>(0, peers, options);
+
+  std::exception_ptr mesh_error;
+  std::thread mesh([&t0, &mesh_error] {
+    try {
+      t0->connect_mesh();
+    } catch (...) {
+      mesh_error = std::current_exception();
+    }
+  });
+  const int from_t0 = ::accept(fake_listener, nullptr, nullptr);
+  ASSERT_GE(from_t0, 0);
+  HelloFrame t0_hello{};
+  read_all_raw(from_t0, &t0_hello, sizeof(t0_hello));
+  const HelloReply welcome{};
+  write_all_raw(from_t0, &welcome, sizeof(welcome));
+  HelloFrame hello{};
+  hello.node_id = 1;
+  hello.cluster_size = 2;
+  const int to_t0 = connect_loopback(t0->listen_port());
+  write_all_raw(to_t0, &hello, sizeof(hello));
+  HelloReply reply{};
+  read_all_raw(to_t0, &reply, sizeof(reply));
+  ASSERT_EQ(static_cast<HelloStatus>(reply.status), HelloStatus::kWelcome);
+  mesh.join();
+  ASSERT_FALSE(mesh_error) << "connect_mesh failed";
+
+  RpcEndpoint endpoint(t0, 0);
+  endpoint.register_service(
+      "echo", [](const std::string&, std::span<const std::uint8_t> p) {
+        return std::vector<std::uint8_t>(p.begin(), p.end());
+      });
+  std::exception_ptr barrier_error;
+  std::thread barrier([&t0, &barrier_error] {
+    try {
+      t0->barrier();
+    } catch (...) {
+      barrier_error = std::current_exception();
+    }
+  });
+  const std::uint64_t ready[2] = {
+      frame_io::kControlTag,
+      static_cast<std::uint64_t>(frame_io::ControlCode::kReady)};
+  write_all_raw(to_t0, ready, sizeof(ready));
+  std::uint64_t go[2] = {0, 0};
+  read_all_raw(from_t0, go, sizeof(go));
+  barrier.join();
+  ASSERT_FALSE(barrier_error) << "barrier failed";
+
+  // Node 1 never answers this call; instead it sends a frame whose header
+  // length no node could hold.
+  RpcFuture pending = endpoint.async_call(1, "echo", "m", {1});
+  const std::uint64_t garbage[2] = {std::uint64_t{1} << 40, 0};
+  write_all_raw(to_t0, garbage, sizeof(garbage));
+  ASSERT_TRUE(pending.wait_ready_for(std::chrono::seconds(20)));
+  EXPECT_THROW(pending.wait(), RpcError);
+  EXPECT_TRUE(t0->peer_departed(1));
+  EXPECT_THROW((void)endpoint.async_call(1, "echo", "m", {2}), RpcError);
+  // The node itself still serves.
+  EXPECT_EQ(endpoint.sync_call(0, "echo", "m", {3}),
+            (std::vector<std::uint8_t>{3}));
+
+  t0->stop();
   ::close(to_t0);
   ::close(from_t0);
   ::close(fake_listener);

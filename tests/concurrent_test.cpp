@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "concurrent/concurrent_queue.hpp"
 #include "concurrent/flat_map.hpp"
 #include "concurrent/sharded_map.hpp"
 #include "concurrent/spinlock.hpp"
@@ -208,60 +207,6 @@ TEST(ShardedMap, ClearAndReuse) {
   int out = 0;
   EXPECT_TRUE(map.find(5, out));
   EXPECT_EQ(out, 9);
-}
-
-TEST(ConcurrentQueue, FifoOrder) {
-  ConcurrentQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.push(i);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().value(), i);
-}
-
-TEST(ConcurrentQueue, TryPopEmpty) {
-  ConcurrentQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.push(1);
-  EXPECT_TRUE(q.try_pop().has_value());
-}
-
-TEST(ConcurrentQueue, CloseWakesConsumers) {
-  ConcurrentQueue<int> q;
-  std::thread consumer([&] {
-    EXPECT_FALSE(q.pop().has_value());  // returns nullopt after close
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  consumer.join();
-}
-
-TEST(ConcurrentQueue, DrainsBeforeCloseSignal) {
-  ConcurrentQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(ConcurrentQueue, ManyProducersManyConsumers) {
-  ConcurrentQueue<int> q;
-  std::atomic<long> sum{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 4; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.pop()) sum.fetch_add(*v);
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= 1000; ++i) q.push(i);
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(sum.load(), 4L * 1000 * 1001 / 2);
 }
 
 }  // namespace

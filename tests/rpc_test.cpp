@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "obs/trace.hpp"
 #include "rpc/endpoint.hpp"
+#include "rpc/frame_io.hpp"
 #include "rpc/inproc_transport.hpp"
 #include "tcp_mesh.hpp"
 
@@ -227,6 +233,27 @@ TEST(InProcTransport, EchoSuiteWithNetworkModel) {
   run_echo_suite(fx);
 }
 
+// Closing a machine delivers what is already queued for it, even before
+// its due time, and drops every later send instead of failing it.
+TEST(InProcTransport, DetachDrainsQueuedThenDropsLateSends) {
+  InProcTransport transport(2, NetworkModel{5000.0, 0.0});
+  std::atomic<int> delivered{0};
+  transport.start(0, [](Message) {});
+  transport.start(1, [&delivered](Message) { delivered.fetch_add(1); });
+  const auto send = [&transport] {
+    Message msg;
+    msg.src_machine = 0;
+    msg.dst_machine = 1;
+    transport.send(std::move(msg));
+  };
+  for (int i = 0; i < 5; ++i) send();
+  transport.detach(1);
+  EXPECT_EQ(delivered.load(), 5);
+  EXPECT_NO_THROW(send());
+  transport.stop();
+  EXPECT_EQ(delivered.load(), 5);
+}
+
 TEST(TcpTransportLoopback, EchoSuite) {
   EchoFixture fx(tcp(2));
   run_echo_suite(fx);
@@ -372,6 +399,166 @@ TEST(InProcTransport, TracePropagatesToServerSpans) {
 
 TEST(TcpTransportLoopback, TracePropagatesToServerSpans) {
   run_trace_suite(tcp(2));
+}
+
+// ---------------------------------------------------------------------------
+// Hostile frames read off a socketpair: every malformed frame throws
+// InvalidArgument (never bad_alloc), and EOF mid-frame reads as kClosed.
+
+class FramePipe {
+ public:
+  FramePipe() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0); }
+  ~FramePipe() {
+    ::close(fds_[0]);
+    ::close(fds_[1]);
+  }
+
+  void write(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    while (n > 0) {
+      const ssize_t w = ::write(fds_[1], p, n);
+      ASSERT_GT(w, 0) << std::strerror(errno);
+      p += w;
+      n -= static_cast<std::size_t>(w);
+    }
+  }
+  void write_lens(std::uint64_t header_len, std::uint64_t payload_len) {
+    const std::uint64_t lens[2] = {header_len, payload_len};
+    write(lens, sizeof(lens));
+  }
+  void close_writer() { ::shutdown(fds_[1], SHUT_WR); }
+  int writer_fd() const { return fds_[1]; }
+
+  frame_io::ReadStatus read(Message& out) {
+    frame_io::ControlCode control{};
+    return frame_io::read_frame(fds_[0], scratch_, out, control);
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+  std::vector<std::uint8_t> scratch_;
+};
+
+/// The encoded header of a message from 1 to 0 whose header claims a
+/// payload of `payload_len` bytes (the length is the header's last field).
+std::vector<std::uint8_t> header_claiming(std::uint64_t payload_len) {
+  Message m;
+  m.src_machine = 1;
+  m.service = "svc";
+  m.method = "m";
+  std::vector<std::uint8_t> header = m.encode_view().header;
+  std::memcpy(header.data() + header.size() - sizeof(payload_len),
+              &payload_len, sizeof(payload_len));
+  return header;
+}
+
+TEST(FrameIo, RejectsHugeHeaderLengths) {
+  for (const std::uint64_t len :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+        frame_io::kMaxHeaderBytes + 1}) {
+    FramePipe pipe;
+    pipe.write_lens(len, 0);
+    pipe.close_writer();
+    Message out;
+    EXPECT_THROW(pipe.read(out), InvalidArgument) << "header length " << len;
+  }
+}
+
+TEST(FrameIo, RejectsHeadersThatDoNotDecode) {
+  {  // too short for its fields: the strings' lengths are cut off
+    FramePipe pipe;
+    const std::vector<std::uint8_t> header(40, 0);
+    pipe.write_lens(header.size(), 0);
+    pipe.write(header.data(), header.size());
+    pipe.close_writer();
+    Message out;
+    EXPECT_THROW(pipe.read(out), InvalidArgument);
+  }
+  {  // trailing bytes after the payload length
+    FramePipe pipe;
+    std::vector<std::uint8_t> header = header_claiming(0);
+    header.resize(header.size() + 3, 0);
+    pipe.write_lens(header.size(), 0);
+    pipe.write(header.data(), header.size());
+    pipe.close_writer();
+    Message out;
+    EXPECT_THROW(pipe.read(out), InvalidArgument);
+  }
+  {  // a string length past the header's end
+    FramePipe pipe;
+    std::vector<std::uint8_t> header = header_claiming(0);
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    std::memcpy(header.data() + 33, &huge, sizeof(huge));  // service length
+    pipe.write_lens(header.size(), 0);
+    pipe.write(header.data(), header.size());
+    pipe.close_writer();
+    Message out;
+    EXPECT_THROW(pipe.read(out), InvalidArgument);
+  }
+}
+
+TEST(FrameIo, RejectsMismatchedPayloadLength) {
+  FramePipe pipe;
+  const std::vector<std::uint8_t> header = header_claiming(10);
+  pipe.write_lens(header.size(), 20);
+  pipe.write(header.data(), header.size());
+  pipe.close_writer();
+  Message out;
+  EXPECT_THROW(pipe.read(out), InvalidArgument);
+}
+
+TEST(FrameIo, HugePayloadLengthReadsAsClosedAtEof) {
+  for (const std::uint64_t len :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    FramePipe pipe;
+    const std::vector<std::uint8_t> header = header_claiming(len);
+    pipe.write_lens(header.size(), len);
+    pipe.write(header.data(), header.size());
+    const std::uint8_t some[7] = {1, 2, 3, 4, 5, 6, 7};
+    pipe.write(some, sizeof(some));
+    pipe.close_writer();
+    Message out;
+    EXPECT_EQ(pipe.read(out), frame_io::ReadStatus::kClosed)
+        << "payload length " << len;
+  }
+}
+
+TEST(FrameIo, EofMidFrameReadsAsClosed) {
+  const std::vector<std::uint8_t> header = header_claiming(100);
+  for (const std::size_t sent : {std::size_t{4}, std::size_t{16 + 5},
+                                 16 + header.size() + 50}) {
+    FramePipe pipe;
+    std::vector<std::uint8_t> frame(16 + header.size() + 50, 9);
+    const std::uint64_t lens[2] = {header.size(), 100};
+    std::memcpy(frame.data(), lens, sizeof(lens));
+    std::memcpy(frame.data() + 16, header.data(), header.size());
+    pipe.write(frame.data(), sent);
+    pipe.close_writer();
+    Message out;
+    EXPECT_EQ(pipe.read(out), frame_io::ReadStatus::kClosed)
+        << sent << " bytes sent";
+  }
+}
+
+TEST(FrameIo, PayloadsPastTheFirstChunkArriveWhole) {
+  FramePipe pipe;
+  Message msg;
+  msg.src_machine = 1;
+  msg.service = "svc";
+  msg.payload.resize(3 * frame_io::kPayloadChunkBytes + 5);
+  for (std::size_t i = 0; i < msg.payload.size(); ++i) {
+    msg.payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const std::vector<std::uint8_t> sent = msg.payload;
+  std::mutex write_mutex;
+  std::thread writer([&] {
+    frame_io::write_message(pipe.writer_fd(), write_mutex, std::move(msg));
+  });
+  Message out;
+  EXPECT_EQ(pipe.read(out), frame_io::ReadStatus::kMessage);
+  writer.join();
+  EXPECT_EQ(out.service, "svc");
+  EXPECT_EQ(out.payload, sent);
 }
 
 TEST(Endpoint, LocalCallBypassesTransport) {

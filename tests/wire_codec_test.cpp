@@ -440,6 +440,29 @@ TEST_F(WireCodecFixture, DecodeRejectsHostileFrames) {
     ByteReader r(w.bytes());
     EXPECT_THROW((void)NeighborBatch::decode_tensor_list(r), InvalidArgument);
   }
+  // A frame that ends inside its last tensor's alignment padding is
+  // truncated: the reader must not step past the end of the buffer.
+  {
+    ByteWriter w;
+    w.write<std::uint64_t>(1);
+    w.write<float>(1.0f);
+    w.write_tensor(std::vector<NodeId>{1});
+    w.write_tensor(std::vector<ShardId>{0});
+    w.write_tensor(std::vector<float>{1.0f});
+    w.write_tensor(std::vector<float>{1.0f});
+    w.write_tensor(std::vector<NodeId>{1});  // 4 bytes + 12 of padding
+    const std::vector<std::uint8_t>& frame = w.bytes();
+    ByteReader whole(frame);
+    EXPECT_EQ(NeighborBatch::decode_tensor_list(whole).size(), 1u);
+    EXPECT_TRUE(whole.done());
+    for (const std::size_t cut : {1, 6, 12}) {
+      ByteReader r(std::span<const std::uint8_t>(frame).first(frame.size() -
+                                                              cut));
+      EXPECT_THROW((void)NeighborBatch::decode_tensor_list(r),
+                   InvalidArgument)
+          << "cut " << cut;
+    }
+  }
 }
 
 TEST(BufferPoolTest, RecyclesReleasedBuffers) {

@@ -75,6 +75,19 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       echo "=== ${SANITIZER}: rpc_test TCP loopback suites x10 ==="
       "${BUILD}/tests/rpc_test" --gtest_filter='TcpTransportLoopback.*' \
           --gtest_repeat=10 --gtest_brief=1
+      # The in-process network delivers from a due-time heap per machine
+      # (senders push and notify while the dispatcher waits and delivers
+      # outside the lock), and the mutation coordinator keeps each
+      # phase's per-shard calls in flight together, landing in waves.
+      # Repeat the transport cases, the network-model timing cases and the
+      # coordinator cases alone.
+      echo "=== ${SANITIZER}: in-process transport + coordinator x20 ==="
+      "${BUILD}/tests/rpc_test" --gtest_filter='InProcTransport.*' \
+          --gtest_repeat=20 --gtest_brief=1
+      "${BUILD}/tests/cost_model_test" --gtest_repeat=20 --gtest_brief=1
+      "${BUILD}/tests/mutation_test" \
+          --gtest_filter='MutationCoordinator.*:*ReplicasOfSeveralShards*' \
+          --gtest_repeat=20 --gtest_brief=1
       # Work-conserving dispatch: the dispatcher's hold ends on a wake-up
       # that executor threads send when a batch finishes, and queue wait
       # ends on the executor thread. These cases are the timing-sensitive
