@@ -1,8 +1,9 @@
 // GraphSAGE-style k-hop neighborhood sampler over the Distributed Graph
 // Storage — the BFS/neighbor-sampling mini-batch construction the paper's
-// introduction lists alongside Random Walk and PPR [10]. Per level, at
-// most one sample_k_neighbors RPC goes to each shard (the same batching
-// discipline as the SSPPR driver).
+// introduction lists alongside Random Walk and PPR [10]. Each level is one
+// round of the shared fetch pipeline (halo and adjacency caches first, at
+// most one batched RPC per remote shard), and every fetched row is
+// sampled on the client.
 #pragma once
 
 #include <vector>
@@ -33,7 +34,8 @@ struct KHopResult {
 };
 
 /// Sample the k-hop neighborhood of `root_locals` (core nodes of this
-/// process's shard). Nodes are deduplicated within each level.
+/// process's shard). Nodes are deduplicated within each level. Every level
+/// reads the graph version that was newest when the call began.
 KHopResult sample_khop(const DistGraphStorage& storage,
                        std::span<const NodeId> root_locals,
                        const KHopOptions& options = {});

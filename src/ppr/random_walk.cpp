@@ -8,17 +8,17 @@ namespace ppr {
 
 namespace {
 
-/// Seed of walker `i`'s private RNG stream at one step. Shared by both
-/// modes: the unbatched baseline passes it to the server-side sampler
-/// (whose first draw is exactly the client-side pick below), the batched
-/// mode seeds a client-side Rng — which is what keeps the two modes
-/// bit-identical for a given seed.
-std::uint64_t walker_seed(std::uint64_t step_seed, std::size_t i) {
+/// Seed of walker `i`'s private RNG stream at `step`. Both modes pick
+/// with it from the same row, which is what keeps them bit-identical for
+/// a given seed.
+std::uint64_t walker_seed(std::uint64_t seed, int step, std::size_t i) {
+  const std::uint64_t step_seed =
+      seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(step);
   return step_seed ^ (static_cast<std::uint64_t>(i) * 0x2545f4914f6cdd1dULL);
 }
 
-/// Weighted choice proportional to edge weight — the same pick the
-/// server-side sampler makes from the same RNG stream.
+/// Weighted choice proportional to edge weight: the first draw of the
+/// walker's stream.
 std::size_t weighted_pick(const VertexProp& prop, std::uint64_t seed) {
   Rng rng(seed);
   const float target = rng.next_float(0.0f, prop.weighted_degree);
@@ -56,6 +56,20 @@ RandomWalkResult distributed_random_walk(const DistGraphStorage& g,
   for (std::size_t i = 0; i < n; ++i) {
     cur_global[i] = g.local_shard().core_global_id(root_locals[i]);
   }
+  // Move walker `i` one step along `prop`, its current node's row, and
+  // record where it landed at `step`.
+  const auto advance = [&](std::size_t i, const VertexProp& prop, int step) {
+    if (prop.degree() > 0) {
+      const std::size_t pick =
+          weighted_pick(prop, walker_seed(options.seed, step, i));
+      node_ids[i] = prop.nbr_local_ids[pick];
+      shard_ids[i] = prop.nbr_shard_ids[pick];
+      cur_global[i] = prop.nbr_global_ids[pick];
+    }
+    // Dangling node: the walk restarts at itself.
+    res.walks[i * static_cast<std::size_t>(options.walk_length) +
+              static_cast<std::size_t>(step)] = cur_global[i];
+  };
 
   if (options.batch) {
     // Each step is one pipeline round over the walkers' current nodes
@@ -68,28 +82,15 @@ RandomWalkResult distributed_random_walk(const DistGraphStorage& g,
     std::vector<std::uint8_t> advanced(n);
     for (int step = 0; step < options.walk_length; ++step) {
       obs::ScopedSpan step_span("walk.step");
-      const std::uint64_t step_seed =
-          options.seed * 0x9e3779b97f4a7c15ULL +
-          static_cast<std::uint64_t>(step);
       pipeline.begin_round();
       for (std::size_t i = 0; i < n; ++i) {
         pipeline.add(shard_ids[i], node_ids[i]);
       }
 
-      const auto advance = [&](std::size_t i) {
+      const auto advance_from_pipeline = [&](std::size_t i) {
         const ShardId shard = shard_ids[i];
-        const VertexProp prop =
-            pipeline.row(shard, pipeline.row_of(shard, node_ids[i]));
-        if (prop.degree() > 0) {
-          const std::size_t pick =
-              weighted_pick(prop, walker_seed(step_seed, i));
-          node_ids[i] = prop.nbr_local_ids[pick];
-          shard_ids[i] = prop.nbr_shard_ids[pick];
-          cur_global[i] = prop.nbr_global_ids[pick];
-        }
-        // Dangling node: the walk restarts at itself.
-        res.walks[i * static_cast<std::size_t>(options.walk_length) +
-                  static_cast<std::size_t>(step)] = cur_global[i];
+        advance(i, pipeline.row(shard, pipeline.row_of(shard, node_ids[i])),
+                step);
       };
 
       advanced.assign(n, 0);
@@ -97,33 +98,37 @@ RandomWalkResult distributed_random_walk(const DistGraphStorage& g,
         // Advance own-shard walkers while remote rows are in flight.
         for (std::size_t i = 0; i < n; ++i) {
           if (shard_ids[i] == self) {
-            advance(i);
+            advance_from_pipeline(i);
             advanced[i] = 1;
           }
         }
       });
       for (std::size_t i = 0; i < n; ++i) {
-        if (!advanced[i]) advance(i);
+        if (!advanced[i]) advance_from_pipeline(i);
       }
     }
     return res;
   }
 
-  // Unbatched baseline: one server-side sampling request per walker per
-  // step, each pinned to the walk's admission version.
+  // Unbatched baseline: one row read per walker per step, like the SSPPR
+  // Single ablation — own-shard rows from the snapshot pinned at
+  // admission, remote rows by a single-row fetch at the same pin.
   const std::uint64_t pin = g.resolve_pin(options.graph_version);
+  const auto snap = g.local_store().snapshot(pin);
   for (int step = 0; step < options.walk_length; ++step) {
-    const std::uint64_t step_seed =
-        options.seed * 0x9e3779b97f4a7c15ULL +
-        static_cast<std::uint64_t>(step);
+    snap->reset_scratch();
     for (std::size_t i = 0; i < n; ++i) {
-      const NodeId one[] = {node_ids[i]};
-      const SampleResult sample = g.sample_one_neighbor(
-          shard_ids[i], one, walker_seed(step_seed, i), pin);
-      node_ids[i] = sample.local_ids[0];
-      shard_ids[i] = sample.shard_ids[0];
-      res.walks[i * static_cast<std::size_t>(options.walk_length) +
-                static_cast<std::size_t>(step)] = sample.global_ids[0];
+      if (shard_ids[i] == self) {
+        g.stats().local_nodes.fetch_add(1, std::memory_order_relaxed);
+        advance(i, snap->vertex_prop(node_ids[i]), step);
+        continue;
+      }
+      const NeighborBatch fetched =
+          g.get_neighbor_info_single_async(shard_ids[i], node_ids[i], pin)
+              .wait();
+      GE_REQUIRE(fetched.size() == 1,
+                 "single-row fetch must return exactly one row");
+      advance(i, fetched[0], step);
     }
   }
   return res;

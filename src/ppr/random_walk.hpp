@@ -17,10 +17,11 @@ struct RandomWalkOptions {
   /// Batch each step through the shared fetch pipeline: the walkers'
   /// neighbor rows resolve through the halo/adjacency caches where
   /// resident, at most one RPC per shard fetches the rest, and sampling
-  /// happens client-side per walker. When false, every walker issues its
-  /// own server-side sampling request every step — the unbatched
-  /// baseline. Both modes draw from the same per-walker RNG stream, so
-  /// they produce identical walks for a given seed.
+  /// happens client-side per walker. When false, every walker reads its
+  /// own row every step — from the pinned own-shard snapshot, or by one
+  /// single-row RPC — the unbatched baseline, like the SSPPR Single
+  /// ablation. Both modes pick from the same row with the same per-walker
+  /// RNG stream, so they produce identical walks for a given seed.
   bool batch = true;
   /// Response compression for the batched mode (same switch as the SSPPR
   /// driver); ignored when batch is false.

@@ -297,16 +297,6 @@ NeighborFetch DistGraphStorage::get_neighbor_info_single_async(
                        std::move(call));
 }
 
-SampleResult DistGraphStorage::decode_sample(
-    std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  SampleResult res;
-  res.local_ids = r.read_vec<NodeId>();
-  res.shard_ids = r.read_vec<ShardId>();
-  res.global_ids = r.read_vec<NodeId>();
-  return res;
-}
-
 void NeighborFetch::wait_into(NeighborBatch& out) {
   std::vector<std::uint8_t> payload =
       call_.storage != nullptr
@@ -325,131 +315,6 @@ void NeighborFetch::wait_into(NeighborBatch& out) {
     out = NeighborBatch::decode_tensor_list(r);
   }
   BufferPool::global().release(std::move(payload));
-}
-
-SampleResult SampleFetch::wait() {
-  std::vector<std::uint8_t> payload =
-      call_.storage != nullptr
-          ? call_.storage->await_storage_reply(future_, call_)
-          : future_.wait();
-  if (stats_ != nullptr) {
-    stats_->remote_response_bytes.fetch_add(payload.size(),
-                                            std::memory_order_relaxed);
-  }
-  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
-             "storage reply not OK");
-  SampleResult res = DistGraphStorage::decode_sample(
-      std::span<const std::uint8_t>(payload).subspan(1));
-  BufferPool::global().release(std::move(payload));
-  return res;
-}
-
-KSampleResult KSampleFetch::wait() {
-  std::vector<std::uint8_t> payload =
-      call_.storage != nullptr
-          ? call_.storage->await_storage_reply(future_, call_)
-          : future_.wait();
-  if (stats_ != nullptr) {
-    stats_->remote_response_bytes.fetch_add(payload.size(),
-                                            std::memory_order_relaxed);
-  }
-  GE_REQUIRE(!payload.empty() && payload[0] == kStorageReplyOk,
-             "storage reply not OK");
-  KSampleResult res = DistGraphStorage::decode_k_sample(
-      std::span<const std::uint8_t>(payload).subspan(1));
-  BufferPool::global().release(std::move(payload));
-  return res;
-}
-
-SampleFetch DistGraphStorage::sample_one_neighbor_async(
-    ShardId dst, std::span<const NodeId> locals, std::uint64_t seed,
-    std::uint64_t graph_version) const {
-  GE_REQUIRE(dst >= 0 && dst < static_cast<ShardId>(num_shards()),
-             "dst shard out of range");
-  StorageCall call(this, storage_method::kSampleOneNeighbor, dst);
-  ByteWriter w(BufferPool::global().acquire());
-  write_fetch_header(w, dst, graph_version);
-  w.write<std::uint64_t>(seed);
-  w.write_span(locals);
-  call.request = w.take();
-  FetchStats* stats = nullptr;
-  if (dst != shard_id_) {
-    stats_.remote_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-    stats_.remote_calls.fetch_add(1, std::memory_order_relaxed);
-    stats_.remote_request_bytes.fetch_add(call.request.size(),
-                                          std::memory_order_relaxed);
-    stats = &stats_;
-  } else {
-    stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-  }
-  RpcFuture future = issue_storage_call(call);
-  return SampleFetch(std::move(future), stats, std::move(call));
-}
-
-KSampleResult DistGraphStorage::decode_k_sample(
-    std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  KSampleResult res;
-  res.indptr = r.read_vec<EdgeIndex>();
-  res.local_ids = r.read_vec<NodeId>();
-  res.shard_ids = r.read_vec<ShardId>();
-  res.global_ids = r.read_vec<NodeId>();
-  return res;
-}
-
-KSampleFetch DistGraphStorage::sample_k_neighbors_async(
-    ShardId dst, std::span<const NodeId> locals, int k, std::uint64_t seed,
-    std::uint64_t graph_version) const {
-  GE_REQUIRE(dst >= 0 && dst < static_cast<ShardId>(num_shards()),
-             "dst shard out of range");
-  StorageCall call(this, storage_method::kSampleKNeighbors, dst);
-  ByteWriter w(BufferPool::global().acquire());
-  write_fetch_header(w, dst, graph_version);
-  w.write<std::uint64_t>(seed);
-  w.write<std::int32_t>(k);
-  w.write_span(locals);
-  call.request = w.take();
-  FetchStats* stats = nullptr;
-  if (dst != shard_id_) {
-    stats_.remote_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-    stats_.remote_calls.fetch_add(1, std::memory_order_relaxed);
-    stats_.remote_request_bytes.fetch_add(call.request.size(),
-                                          std::memory_order_relaxed);
-    stats = &stats_;
-  } else {
-    stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-  }
-  RpcFuture future = issue_storage_call(call);
-  return KSampleFetch(std::move(future), stats, std::move(call));
-}
-
-KSampleResult DistGraphStorage::sample_k_neighbors(
-    ShardId dst, std::span<const NodeId> locals, int k, std::uint64_t seed,
-    std::uint64_t graph_version) const {
-  if (dst == shard_id_) {
-    stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-    KSampleResult res;
-    local_store_->snapshot(resolve_pin(graph_version))
-        ->sample_k_neighbors(locals, k, seed, res.indptr, res.local_ids,
-                             res.shard_ids, res.global_ids);
-    return res;
-  }
-  return sample_k_neighbors_async(dst, locals, k, seed, graph_version)
-      .wait();
-}
-
-SampleResult DistGraphStorage::sample_one_neighbor(
-    ShardId dst, std::span<const NodeId> locals, std::uint64_t seed,
-    std::uint64_t graph_version) const {
-  if (dst == shard_id_) {
-    stats_.local_nodes.fetch_add(locals.size(), std::memory_order_relaxed);
-    SampleResult res;
-    local_store_->snapshot(resolve_pin(graph_version))
-        ->sample_one_neighbor(locals, seed, res.local_ids, res.shard_ids,
-                              res.global_ids);
-    return res;
-  }
-  return sample_one_neighbor_async(dst, locals, seed, graph_version).wait();
 }
 
 std::vector<float> WeightedDegreeFetch::wait() {

@@ -84,21 +84,6 @@ struct FetchStats {
   std::vector<obs::Registration> regs_;
 };
 
-/// Result of a (possibly remote) sample_one_neighbor call.
-struct SampleResult {
-  std::vector<NodeId> local_ids;
-  std::vector<ShardId> shard_ids;
-  std::vector<NodeId> global_ids;
-};
-
-/// Result of a fan-out sample_k_neighbors call (CSR over the sources).
-struct KSampleResult {
-  std::vector<EdgeIndex> indptr;
-  std::vector<NodeId> local_ids;
-  std::vector<ShardId> shard_ids;
-  std::vector<NodeId> global_ids;
-};
-
 class DistGraphStorage;
 
 /// Book-keeping for one retryable storage RPC: the master copy of the
@@ -158,45 +143,6 @@ class NeighborFetch {
  private:
   RpcFuture future_;
   bool compressed_ = true;
-  FetchStats* stats_ = nullptr;
-  StorageCall call_;
-};
-
-/// Pending sample_one_neighbor RPC; wait() decodes the response and, for
-/// genuinely remote calls, credits the payload to the issuing client's
-/// byte counters (loopback calls carry no stats pointer).
-class SampleFetch {
- public:
-  SampleFetch() = default;
-  SampleFetch(RpcFuture future, FetchStats* stats, StorageCall call)
-      : future_(std::move(future)),
-        stats_(stats),
-        call_(std::move(call)) {}
-
-  bool valid() const { return future_.valid(); }
-  SampleResult wait();
-
- private:
-  RpcFuture future_;
-  FetchStats* stats_ = nullptr;
-  StorageCall call_;
-};
-
-/// Pending sample_k_neighbors RPC; same byte-crediting contract as
-/// SampleFetch.
-class KSampleFetch {
- public:
-  KSampleFetch() = default;
-  KSampleFetch(RpcFuture future, FetchStats* stats, StorageCall call)
-      : future_(std::move(future)),
-        stats_(stats),
-        call_(std::move(call)) {}
-
-  bool valid() const { return future_.valid(); }
-  KSampleResult wait();
-
- private:
-  RpcFuture future_;
   FetchStats* stats_ = nullptr;
   StorageCall call_;
 };
@@ -366,27 +312,6 @@ class DistGraphStorage {
   NeighborFetch get_neighbor_info_single_async(
       ShardId dst, NodeId local,
       std::uint64_t graph_version = kVersionLatest) const;
-
-  /// Sample one outgoing neighbor for each source; local or remote.
-  /// `graph_version` pins the draw to one snapshot.
-  SampleResult sample_one_neighbor(
-      ShardId dst, std::span<const NodeId> locals, std::uint64_t seed,
-      std::uint64_t graph_version = kVersionLatest) const;
-  SampleFetch sample_one_neighbor_async(
-      ShardId dst, std::span<const NodeId> locals, std::uint64_t seed,
-      std::uint64_t graph_version = kVersionLatest) const;
-  static SampleResult decode_sample(std::span<const std::uint8_t> payload);
-
-  /// GraphSAGE-style fan-out sampling (≤ k distinct neighbors per
-  /// source), local or remote.
-  KSampleResult sample_k_neighbors(
-      ShardId dst, std::span<const NodeId> locals, int k, std::uint64_t seed,
-      std::uint64_t graph_version = kVersionLatest) const;
-  KSampleFetch sample_k_neighbors_async(
-      ShardId dst, std::span<const NodeId> locals, int k, std::uint64_t seed,
-      std::uint64_t graph_version = kVersionLatest) const;
-  static KSampleResult decode_k_sample(
-      std::span<const std::uint8_t> payload);
 
   /// Issue a kGetWeightedDegs read of core nodes of shard `dst` at
   /// `graph_version` — the mutation coordinator's pre-insert hint

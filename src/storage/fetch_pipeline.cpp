@@ -193,6 +193,10 @@ void FetchPipeline::execute(const Plan& plan,
   // --- Fan responses into their union rows; feed the adjacency cache. ---
   for (std::size_t j = 0; j < ns; ++j) {
     if (fetch_locals_[j].empty()) continue;
+    // The peer's frame is well formed but may answer a different number
+    // of rows than were asked for; the fan-in below indexes it per row.
+    GE_REQUIRE(batches_[j].size() == fetch_locals_[j].size(),
+               "storage reply row count differs from the request");
     // Weightless rows (need_weights off) carry zero-filled float arrays;
     // caching them would poison weight-consuming queries.
     if (batches_[j].has_weights()) {

@@ -1,7 +1,7 @@
 // Unified fetch pipeline: the one cache-aware Batch/Compress/Overlap
 // resolution path shared by every distributed traversal operator (the
-// SSPPR batch driver, BFS, random walk, node2vec, the ShaDow subgraph
-// builder), for own-shard and remote rows alike.
+// SSPPR batch driver, BFS, random walk, node2vec, the k-hop sampler, the
+// ShaDow subgraph builder), for own-shard and remote rows alike.
 //
 // A pipeline is pinned to one graph version for its whole life. Each
 // round, callers add the <shard, local id> pairs their frontier needs;

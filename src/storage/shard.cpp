@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "concurrent/flat_map.hpp"
 
@@ -153,87 +152,6 @@ std::vector<VertexProp> GraphShard::get_neighbor_infos(
   props.reserve(locals.size());
   for (const NodeId l : locals) props.push_back(vertex_prop(l));
   return props;
-}
-
-NodeId GraphShard::nbr_global_id(NodeId local, std::size_t k) const {
-  const auto lo = static_cast<std::size_t>(
-      indptr_[static_cast<std::size_t>(local)]);
-  return nbr_global_ids_[lo + k];
-}
-
-void GraphShard::sample_one_neighbor(std::span<const NodeId> locals,
-                                     std::uint64_t seed,
-                                     std::vector<NodeId>& out_local,
-                                     std::vector<ShardId>& out_shard,
-                                     std::vector<NodeId>& out_global) const {
-  Rng rng(seed);
-  out_local.resize(locals.size());
-  out_shard.resize(locals.size());
-  out_global.resize(locals.size());
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const VertexProp prop = vertex_prop(locals[i]);
-    if (prop.degree() == 0) {
-      // Dangling node: the walk restarts at itself.
-      out_local[i] = locals[i];
-      out_shard[i] = shard_id_;
-      out_global[i] = core_global_ids_[static_cast<std::size_t>(locals[i])];
-      continue;
-    }
-    // Weighted choice proportional to edge weight.
-    const float target = rng.next_float(0.0f, prop.weighted_degree);
-    float acc = 0;
-    std::size_t pick = prop.degree() - 1;
-    for (std::size_t k = 0; k < prop.degree(); ++k) {
-      acc += prop.edge_weights[k];
-      if (acc >= target) {
-        pick = k;
-        break;
-      }
-    }
-    out_local[i] = prop.nbr_local_ids[pick];
-    out_shard[i] = prop.nbr_shard_ids[pick];
-    const auto lo = static_cast<std::size_t>(
-        indptr_[static_cast<std::size_t>(locals[i])]);
-    out_global[i] = nbr_global_ids_[lo + pick];
-  }
-}
-
-void GraphShard::sample_k_neighbors(std::span<const NodeId> locals, int k,
-                                    std::uint64_t seed,
-                                    std::vector<EdgeIndex>& out_indptr,
-                                    std::vector<NodeId>& out_local,
-                                    std::vector<ShardId>& out_shard,
-                                    std::vector<NodeId>& out_global) const {
-  GE_REQUIRE(k >= 1, "k must be positive");
-  Rng rng(seed);
-  out_indptr.assign(1, 0);
-  out_local.clear();
-  out_shard.clear();
-  out_global.clear();
-  std::vector<std::size_t> picks;
-  for (const NodeId l : locals) {
-    GE_REQUIRE(l >= 0 && l < num_core_nodes(), "local id out of range");
-    const auto lo = static_cast<std::size_t>(
-        indptr_[static_cast<std::size_t>(l)]);
-    const auto deg = static_cast<std::size_t>(
-        indptr_[static_cast<std::size_t>(l) + 1]) - lo;
-    const std::size_t take = std::min<std::size_t>(deg, static_cast<std::size_t>(k));
-    picks.resize(deg);
-    for (std::size_t i = 0; i < deg; ++i) picks[i] = i;
-    // Partial Fisher–Yates: the first `take` entries become a uniform
-    // sample without replacement.
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t j = i + rng.next_u64(deg - i);
-      std::swap(picks[i], picks[j]);
-    }
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t e = lo + picks[i];
-      out_local.push_back(nbr_local_ids_[e]);
-      out_shard.push_back(nbr_shard_ids_[e]);
-      out_global.push_back(nbr_global_ids_[e]);
-    }
-    out_indptr.push_back(static_cast<EdgeIndex>(out_local.size()));
-  }
 }
 
 namespace {

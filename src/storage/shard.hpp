@@ -109,7 +109,8 @@ struct VertexProp {
   std::span<const float> nbr_weighted_degrees;
   /// Original graph ids of the neighbors. Carried through every resolution
   /// path (shard, halo cache, adjacency cache, wire) so client-side
-  /// samplers (random walk) can emit global ids without a second lookup.
+  /// samplers (random walk, k-hop) can emit global ids without a second
+  /// lookup.
   std::span<const NodeId> nbr_global_ids;
   float weighted_degree = 0;  // d_w of the source node itself
 
@@ -187,27 +188,6 @@ class GraphShard {
   /// fetch path: no serialization, no copies).
   std::vector<VertexProp> get_neighbor_infos(
       std::span<const NodeId> locals) const;
-
-  /// Global id of the k-th stored neighbor of `local`.
-  NodeId nbr_global_id(NodeId local, std::size_t k) const;
-
-  /// Weighted sampling of one outgoing neighbor per source node.
-  /// Returns (local ids, shard ids, global ids) of the samples.
-  void sample_one_neighbor(std::span<const NodeId> locals, std::uint64_t seed,
-                           std::vector<NodeId>& out_local,
-                           std::vector<ShardId>& out_shard,
-                           std::vector<NodeId>& out_global) const;
-
-  /// GraphSAGE-style fan-out sampling: for each source, up to `k`
-  /// distinct neighbors drawn uniformly without replacement (all of them
-  /// when degree ≤ k). Results are CSR-shaped: `out_indptr[i]` delimits
-  /// source i's samples.
-  void sample_k_neighbors(std::span<const NodeId> locals, int k,
-                          std::uint64_t seed,
-                          std::vector<EdgeIndex>& out_indptr,
-                          std::vector<NodeId>& out_local,
-                          std::vector<ShardId>& out_shard,
-                          std::vector<NodeId>& out_global) const;
 
   /// Serialize neighbor info for `locals` as one CSR-compressed response:
   /// a self-describing frame of either full-width flat arrays or the

@@ -138,7 +138,15 @@ std::vector<std::uint8_t> GraphStorageService::dispatch(
   VersionedShardStore& store = *entry.store;
 
   if (method == storage_method::kMutateEdges) {
-    store.apply(header.graph_version, MutationBatch::decode(r));
+    MutationBatch batch = MutationBatch::decode(r);
+    // The store knows its own rows but not how many shards exist; an
+    // insert naming a shard past the routing table would index past
+    // every reader's per-shard arrays.
+    for (const EdgeInsert& e : batch.inserts) {
+      GE_REQUIRE(e.nbr_shard < routing_->num_shards(),
+                 "edge insert names a shard that does not exist");
+    }
+    store.apply(header.graph_version, std::move(batch));
     // The ack echoes the applied version.
     w.write<std::uint64_t>(header.graph_version);
     return w.take();
@@ -183,45 +191,12 @@ std::vector<std::uint8_t> GraphStorageService::dispatch(
     snap->encode_neighbor_infos_tensor_list(one, w);
     return w.take();
   }
-  if (method == storage_method::kSampleOneNeighbor) {
-    const auto seed = r.read<std::uint64_t>();
-    const auto locals = r.read_vec<NodeId>();
-    std::vector<NodeId> out_local;
-    std::vector<ShardId> out_shard;
-    std::vector<NodeId> out_global;
-    snap->sample_one_neighbor(locals, seed, out_local, out_shard,
-                              out_global);
-    w.write_vec(out_local);
-    w.write_vec(out_shard);
-    w.write_vec(out_global);
-    return w.take();
-  }
-  if (method == storage_method::kSampleKNeighbors) {
-    const auto seed = r.read<std::uint64_t>();
-    const auto k = r.read<std::int32_t>();
-    const auto locals = r.read_vec<NodeId>();
-    std::vector<EdgeIndex> out_indptr;
-    std::vector<NodeId> out_local;
-    std::vector<ShardId> out_shard;
-    std::vector<NodeId> out_global;
-    snap->sample_k_neighbors(locals, k, seed, out_indptr, out_local,
-                             out_shard, out_global);
-    w.write_vec(out_indptr);
-    w.write_vec(out_local);
-    w.write_vec(out_shard);
-    w.write_vec(out_global);
-    return w.take();
-  }
   if (method == storage_method::kGetWeightedDegs) {
     const auto locals = r.read_vec<NodeId>();
     std::vector<float> degs;
     degs.reserve(locals.size());
     for (const NodeId l : locals) degs.push_back(snap->weighted_degree(l));
     w.write_vec(degs);
-    return w.take();
-  }
-  if (method == storage_method::kNumCoreNodes) {
-    w.write<std::int64_t>(snap->num_core_nodes());
     return w.take();
   }
   throw InvalidArgument("unknown storage method: " + method);

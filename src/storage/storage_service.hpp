@@ -40,9 +40,6 @@ namespace storage_method {
 inline constexpr const char* kGetNeighborInfos = "get_neighbor_infos";
 inline constexpr const char* kGetNeighborInfoSingle =
     "get_neighbor_info_single";
-inline constexpr const char* kSampleOneNeighbor = "sample_one_neighbor";
-inline constexpr const char* kSampleKNeighbors = "sample_k_neighbors";
-inline constexpr const char* kNumCoreNodes = "num_core_nodes";
 /// Full store snapshot (VersionedShardStore::serialize: base CSR +
 /// pending delta segments) — the migration / replica-bootstrap copy.
 inline constexpr const char* kSnapshotShard = "snapshot_shard";

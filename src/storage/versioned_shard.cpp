@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "obs/trace.hpp"
 
 namespace ppr {
@@ -269,86 +268,6 @@ void ShardSnapshot::encode_neighbor_infos_tensor_list(
     rows.push_back(row_ptrs_of(p));
   });
   encode_rows_tensor_list(rows, w);
-}
-
-void ShardSnapshot::sample_one_neighbor(std::span<const NodeId> locals,
-                                        std::uint64_t seed,
-                                        std::vector<NodeId>& out_local,
-                                        std::vector<ShardId>& out_shard,
-                                        std::vector<NodeId>& out_global)
-    const {
-  if (clean()) {
-    base_->sample_one_neighbor(locals, seed, out_local, out_shard,
-                               out_global);
-    return;
-  }
-  // Same draw sequence as GraphShard::sample_one_neighbor: degree-0 rows
-  // consume no draw, every other row consumes exactly one next_float.
-  Rng rng(seed);
-  out_local.resize(locals.size());
-  out_shard.resize(locals.size());
-  out_global.resize(locals.size());
-  for_each_row(locals, [&](std::size_t i, const VertexProp& prop) {
-    if (prop.degree() == 0) {
-      out_local[i] = locals[i];
-      out_shard[i] = shard_id();
-      out_global[i] = base_->core_global_id(locals[i]);
-      return;
-    }
-    const float target = rng.next_float(0.0f, prop.weighted_degree);
-    float acc = 0;
-    std::size_t pick = prop.degree() - 1;
-    for (std::size_t k = 0; k < prop.degree(); ++k) {
-      acc += prop.edge_weights[k];
-      if (acc >= target) {
-        pick = k;
-        break;
-      }
-    }
-    out_local[i] = prop.nbr_local_ids[pick];
-    out_shard[i] = prop.nbr_shard_ids[pick];
-    out_global[i] = prop.nbr_global_ids[pick];
-  });
-}
-
-void ShardSnapshot::sample_k_neighbors(std::span<const NodeId> locals, int k,
-                                       std::uint64_t seed,
-                                       std::vector<EdgeIndex>& out_indptr,
-                                       std::vector<NodeId>& out_local,
-                                       std::vector<ShardId>& out_shard,
-                                       std::vector<NodeId>& out_global)
-    const {
-  if (clean()) {
-    base_->sample_k_neighbors(locals, k, seed, out_indptr, out_local,
-                              out_shard, out_global);
-    return;
-  }
-  GE_REQUIRE(k >= 1, "k must be positive");
-  Rng rng(seed);
-  out_indptr.assign(1, 0);
-  out_local.clear();
-  out_shard.clear();
-  out_global.clear();
-  std::vector<std::size_t> picks;
-  for_each_row(locals, [&](std::size_t, const VertexProp& prop) {
-    const std::size_t deg = prop.degree();
-    const std::size_t take =
-        std::min<std::size_t>(deg, static_cast<std::size_t>(k));
-    picks.resize(deg);
-    for (std::size_t i = 0; i < deg; ++i) picks[i] = i;
-    // Partial Fisher–Yates, identical draws to the base sampler.
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t j = i + rng.next_u64(deg - i);
-      std::swap(picks[i], picks[j]);
-    }
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t e = picks[i];
-      out_local.push_back(prop.nbr_local_ids[e]);
-      out_shard.push_back(prop.nbr_shard_ids[e]);
-      out_global.push_back(prop.nbr_global_ids[e]);
-    }
-    out_indptr.push_back(static_cast<EdgeIndex>(out_local.size()));
-  });
 }
 
 void ShardSnapshot::reset_scratch() const { scratch_.clear(); }

@@ -200,19 +200,6 @@ class ShardSnapshot {
   void encode_neighbor_infos_tensor_list(std::span<const NodeId> locals,
                                          ByteWriter& w) const;
 
-  /// Sampling at this version: identical RNG draw sequence to GraphShard's
-  /// samplers, so a clean snapshot reproduces the base samples bit-exactly.
-  void sample_one_neighbor(std::span<const NodeId> locals, std::uint64_t seed,
-                           std::vector<NodeId>& out_local,
-                           std::vector<ShardId>& out_shard,
-                           std::vector<NodeId>& out_global) const;
-  void sample_k_neighbors(std::span<const NodeId> locals, int k,
-                          std::uint64_t seed,
-                          std::vector<EdgeIndex>& out_indptr,
-                          std::vector<NodeId>& out_local,
-                          std::vector<ShardId>& out_shard,
-                          std::vector<NodeId>& out_global) const;
-
   /// Drop merged-row scratch (views from vertex_prop become invalid).
   /// Called per pipeline round so long queries don't grow the arena
   /// unboundedly.

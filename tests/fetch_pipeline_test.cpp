@@ -4,6 +4,7 @@
 
 #include "engine/cluster.hpp"
 #include "graph/generators.hpp"
+#include "rpc/inproc_transport.hpp"
 #include "storage/fetch_pipeline.hpp"
 
 namespace ppr {
@@ -238,6 +239,38 @@ TEST_F(FetchPipelineFixture, EmptyRoundIsHarmless) {
   EXPECT_EQ(pipeline.stats().rows_requested, 0u);
   EXPECT_EQ(pipeline.stats().rpcs_issued, 0u);
   EXPECT_EQ(pipeline.stats().rounds, 1u);
+}
+
+// A peer that answers a batched fetch with a well-formed frame holding
+// fewer rows than were asked for is refused, not read past its end. Both
+// machines share one in-process network; machine 1 runs a stand-in
+// storage service that always answers with shard 1's first row alone.
+TEST(FetchPipelineReply, ShortReplyIsRejected) {
+  const Graph g = generate_rmat(200, 1000, 0.5, 0.2, 0.2, 61);
+  const ShardedGraph sg = build_sharded_graph(g, partition_hash(g, 2), 2);
+  ASSERT_GE(sg.shards[1]->num_core_nodes(), 6);
+  auto transport = std::make_shared<InProcTransport>(2, NetworkModel{0, 0});
+  Machine machine0(transport, 0, ShardMap::identity(2),
+                   std::make_shared<VersionTracker>(sg.mapping), sg.mapping,
+                   MachineConfig{});
+  const auto storage = machine0.install(
+      std::make_shared<VersionedShardStore>(sg.shards[0]));
+  RpcEndpoint peer(transport, 1);
+  peer.register_service(
+      kStorageServiceName,
+      [&](const std::string&, std::span<const std::uint8_t>) {
+        const NodeId first[] = {0};
+        ByteWriter rows;
+        sg.shards[1]->encode_neighbor_infos_csr(first, rows);
+        std::vector<std::uint8_t> reply(1 + rows.size(), kStorageReplyOk);
+        std::copy(rows.bytes().begin(), rows.bytes().end(), reply.begin() + 1);
+        return reply;
+      });
+
+  FetchPipeline pipeline(*storage);
+  pipeline.begin_round();
+  for (NodeId l = 0; l < 6; ++l) pipeline.add(1, l);
+  EXPECT_THROW(pipeline.execute({}), InvalidArgument);
 }
 
 }  // namespace

@@ -19,10 +19,12 @@
 #include "engine/ssppr_driver.hpp"
 #include "graph/generators.hpp"
 #include "ppr/bfs.hpp"
+#include "ppr/khop_sampler.hpp"
 #include "ppr/random_walk.hpp"
 #include "storage/fetch_pipeline.hpp"
 #include "storage/storage_service.hpp"
 #include "storage/versioned_shard.hpp"
+#include "khop_reference.hpp"
 
 namespace ppr {
 namespace {
@@ -462,36 +464,6 @@ TEST(DeepSegmentLog, EveryRetainedVersionMatchesReferenceMerge) {
       encode_rows_csr(want_rows, expected, options);
       EXPECT_EQ(got.bytes(), expected.bytes()) << wire_codec_name(codec);
     }
-
-    // The samplers' draw sequence (GraphShard::sample_one_neighbor) over
-    // the reference rows.
-    const std::uint64_t seed = 77 + v;
-    std::vector<NodeId> out_local, out_global;
-    std::vector<ShardId> out_shard;
-    snap->sample_one_neighbor(locals, seed, out_local, out_shard, out_global);
-    Rng draws(seed);
-    for (std::size_t i = 0; i < locals.size(); ++i) {
-      const RefRow& r = want[static_cast<std::size_t>(locals[i])];
-      if (r.global.empty()) {
-        EXPECT_EQ(out_local[i], locals[i]);
-        EXPECT_EQ(out_shard[i], 0);
-        EXPECT_EQ(out_global[i], base.core_global_id(locals[i]));
-        continue;
-      }
-      const float target = draws.next_float(0.0f, r.dw);
-      float acc = 0;
-      std::size_t pick = r.global.size() - 1;
-      for (std::size_t k = 0; k < r.global.size(); ++k) {
-        acc += r.weight[k];
-        if (acc >= target) {
-          pick = k;
-          break;
-        }
-      }
-      EXPECT_EQ(out_local[i], r.local[pick]) << "sample " << i;
-      EXPECT_EQ(out_shard[i], r.shard[pick]) << "sample " << i;
-      EXPECT_EQ(out_global[i], r.global[pick]) << "sample " << i;
-    }
   }
 }
 
@@ -669,6 +641,38 @@ TEST_F(MutationFixture, PinnedReadsMatchFrozenCopyAtEveryVersion) {
     EXPECT_EQ(walk_got.walks, walk_want.walks)
         << (batched ? "batched" : "unbatched");
   }
+
+  // k-hop sampling takes no pin, so it runs on `frozen`, whose newest
+  // version is V, and must equal the sampler's stream replayed over
+  // `full`'s rows pinned at V.
+  const auto rows_at = [&](std::uint64_t version) {
+    return [&full, version](NodeRef r) {
+      const auto snap = full->store(r.shard)->snapshot(version);
+      const VertexProp p = snap->vertex_prop(r.local);
+      std::vector<NodeRef> row;
+      for (std::size_t k = 0; k < p.degree(); ++k) {
+        row.push_back(NodeRef{p.nbr_local_ids[k], p.nbr_shard_ids[k]});
+      }
+      return row;
+    };
+  };
+  const std::vector<NodeId> khop_roots = [&] {
+    std::vector<NodeId> r;
+    for (const NodeRef src : pick_sources(*full, 0, 24)) r.push_back(src.local);
+    return r;
+  }();
+  KHopOptions khop;
+  khop.fanouts = {6, 4, 2};
+  khop.seed = 77;
+  const KHopResult khop_got =
+      sample_khop(frozen->storage(0), khop_roots, khop);
+  const KHopResult khop_want =
+      reference_khop(0, 3, khop_roots, khop, rows_at(kFrozenAt));
+  EXPECT_EQ(khop_levels(khop_got), khop_levels(khop_want));
+  EXPECT_EQ(khop_edges(khop_got), khop_edges(khop_want));
+  // The sample reads mutated rows: at version 0 the same stream differs.
+  EXPECT_NE(khop_edges(khop_got),
+            khop_edges(reference_khop(0, 3, khop_roots, khop, rows_at(0))));
 }
 
 // ---------------------------------------------------------------------
@@ -896,6 +900,33 @@ TEST_F(MutationFixture, HintFetchRejectsOutOfRangeIds) {
         RpcError)
         << "id " << id;
   }
+}
+
+// A mutation frame whose insert names a shard past the routing table is
+// refused before it reaches the store: the version does not move, so no
+// pinned reader can meet the edge and index per-shard state with it.
+TEST_F(MutationFixture, MutationNamingAMissingShardIsRejected) {
+  auto cluster = make_cluster();
+  const auto frame = [&](ShardId nbr_shard) {
+    ByteWriter w;
+    write_storage_header(w, /*shard=*/1, cluster->routing(0).epoch(),
+                         /*graph_version=*/1);
+    MutationBatch batch;
+    batch.inserts.push_back(EdgeInsert{0, 0, nbr_shard,
+                                       cluster->mapping().to_global({0, 2}),
+                                       1.0f, 1.0f});
+    batch.encode(w);
+    return w.take();
+  };
+  EXPECT_THROW((void)cluster->endpoint(0).sync_call(
+                   1, kStorageServiceName, storage_method::kMutateEdges,
+                   frame(7)),
+               RpcError);
+  EXPECT_EQ(cluster->store(1)->latest_version(), 0u);
+  // The same frame naming a real shard lands.
+  (void)cluster->endpoint(0).sync_call(1, kStorageServiceName,
+                                       storage_method::kMutateEdges, frame(2));
+  EXPECT_EQ(cluster->store(1)->latest_version(), 1u);
 }
 
 // ---------------------------------------------------------------------

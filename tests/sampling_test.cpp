@@ -1,7 +1,8 @@
-// Tests for the fan-out sampling primitives (sample_k_neighbors, the
-// k-hop sampler) and the adaptive top-k SSPPR wrapper.
+// Tests for the k-hop fan-out sampler and the adaptive top-k SSPPR
+// wrapper.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "engine/cluster.hpp"
@@ -11,6 +12,7 @@
 #include "ppr/khop_sampler.hpp"
 #include "ppr/metrics.hpp"
 #include "ppr/power_iteration.hpp"
+#include "khop_reference.hpp"
 
 namespace ppr {
 namespace {
@@ -26,65 +28,140 @@ class SamplingFixture : public ::testing::Test {
         graph_, partition_multilevel(graph_, 3), opts);
   }
 
+  /// The first `n` core locals of `shard`.
+  std::vector<NodeId> first_locals(ShardId shard, NodeId n) const {
+    std::vector<NodeId> out;
+    for (NodeId l = 0; l < std::min(n, cluster_->shard(shard).num_core_nodes());
+         ++l) {
+      out.push_back(l);
+    }
+    return out;
+  }
+
+  /// Neighbor refs of `ref`'s row, straight from the Graph's adjacency
+  /// (which every shard stores in the same order).
+  std::vector<NodeRef> graph_row(NodeRef ref) const {
+    std::vector<NodeRef> row;
+    for (const NodeId v :
+         graph_.neighbors(cluster_->mapping().to_global(ref))) {
+      row.push_back(cluster_->mapping().to_ref(v));
+    }
+    return row;
+  }
+
   Graph graph_;
   std::unique_ptr<Cluster> cluster_;
 };
 
-TEST_F(SamplingFixture, KSampleRespectsFanoutAndMembership) {
-  const GraphShard& shard = *&cluster_->shard(0);
-  std::vector<NodeId> locals;
-  for (NodeId l = 0; l < std::min<NodeId>(40, shard.num_core_nodes()); ++l) {
-    locals.push_back(l);
-  }
-  const int k = 5;
-  const KSampleResult res =
-      cluster_->storage(0).sample_k_neighbors(0, locals, k, 7);
-  ASSERT_EQ(res.indptr.size(), locals.size() + 1);
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const NodeId v = shard.core_global_id(locals[i]);
-    const auto nbrs = graph_.neighbors(v);
-    const auto count = static_cast<std::size_t>(res.indptr[i + 1] -
-                                                res.indptr[i]);
-    EXPECT_EQ(count, std::min<std::size_t>(nbrs.size(),
-                                           static_cast<std::size_t>(k)));
-    std::set<NodeId> distinct;
-    for (EdgeIndex e = res.indptr[i]; e < res.indptr[i + 1]; ++e) {
-      const NodeId g = res.global_ids[static_cast<std::size_t>(e)];
-      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), g), nbrs.end())
-          << "sample must be an actual neighbor";
-      EXPECT_TRUE(distinct.insert(g).second) << "without replacement";
-      // local/shard ids agree with the mapping.
-      const NodeRef ref{res.local_ids[static_cast<std::size_t>(e)],
-                        res.shard_ids[static_cast<std::size_t>(e)]};
-      EXPECT_EQ(cluster_->mapping().to_global(ref), g);
+TEST_F(SamplingFixture, KHopRespectsFanoutAndMembership) {
+  // Every source of every level gets exactly min(degree, k) distinct real
+  // neighbors, and each sampled ref names the node the mapping says.
+  for (ShardId s = 0; s < 3; ++s) {
+    SCOPED_TRACE(::testing::Message() << "roots on shard " << s);
+    const std::vector<NodeId> roots = first_locals(s, 12);
+    KHopOptions opts;
+    opts.fanouts = {5, 3};
+    opts.seed = 7;
+    const KHopResult res = sample_khop(cluster_->storage(s), roots, opts);
+    ASSERT_EQ(res.levels.size(), 3u);
+    // Edges come level by level; each level's block is the samples of its
+    // frontier's sources.
+    std::size_t at = 0;
+    for (std::size_t d = 0; d < opts.fanouts.size(); ++d) {
+      const auto k = static_cast<std::size_t>(opts.fanouts[d]);
+      std::map<std::uint64_t, std::set<NodeId>> per_source;
+      std::size_t block = 0;
+      for (const NodeRef src : res.levels[d]) {
+        block += std::min(graph_row(src).size(), k);
+        per_source[src.key()];
+      }
+      ASSERT_LE(at + block, res.edges.size());
+      for (std::size_t e = at; e < at + block; ++e) {
+        const auto& [src, dst] = res.edges[e];
+        ASSERT_TRUE(per_source.count(src.key())) << "source not in level";
+        const NodeId g = cluster_->mapping().to_global(dst);
+        const auto nbrs = graph_.neighbors(cluster_->mapping().to_global(src));
+        EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), g), nbrs.end())
+            << "sample must be an actual neighbor";
+        EXPECT_TRUE(per_source[src.key()].insert(g).second)
+            << "without replacement";
+        // local/shard ids agree with the mapping.
+        const NodeRef back = cluster_->mapping().to_ref(g);
+        EXPECT_EQ(back.local, dst.local);
+        EXPECT_EQ(back.shard, dst.shard);
+      }
+      for (const NodeRef src : res.levels[d]) {
+        EXPECT_EQ(per_source[src.key()].size(),
+                  std::min(graph_row(src).size(), k));
+      }
+      at += block;
     }
+    EXPECT_EQ(at, res.edges.size());
   }
 }
 
-TEST_F(SamplingFixture, RemoteKSampleMatchesContract) {
-  const GraphShard& shard1 = cluster_->shard(1);
-  std::vector<NodeId> locals{0, 1, 2};
-  const KSampleResult res =
-      cluster_->storage(0).sample_k_neighbors(1, locals, 3, 11);
-  ASSERT_EQ(res.indptr.size(), 4u);
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const NodeId v = shard1.core_global_id(locals[i]);
-    const auto nbrs = graph_.neighbors(v);
-    for (EdgeIndex e = res.indptr[i]; e < res.indptr[i + 1]; ++e) {
-      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(),
-                          res.global_ids[static_cast<std::size_t>(e)]),
-                nbrs.end());
-    }
+TEST_F(SamplingFixture, KHopSamplesRemoteRowsToContract) {
+  // The second level's sources include other shards' nodes, whose rows
+  // cross the wire; their samples keep the same contract.
+  const std::vector<NodeId> roots = first_locals(0, 20);
+  KHopOptions opts;
+  opts.fanouts = {4, 3};
+  opts.seed = 11;
+  cluster_->reset_stats();
+  const KHopResult res = sample_khop(cluster_->storage(0), roots, opts);
+  ASSERT_GT(cluster_->storage(0).stats().remote_calls.load(), 0u);
+  std::map<std::uint64_t, int> remote_samples;
+  for (const auto& [src, dst] : res.edges) {
+    if (src.shard == 0) continue;
+    ++remote_samples[src.key()];
+    const auto nbrs = graph_.neighbors(cluster_->mapping().to_global(src));
+    EXPECT_NE(std::find(nbrs.begin(), nbrs.end(),
+                        cluster_->mapping().to_global(dst)),
+              nbrs.end());
   }
+  ASSERT_FALSE(remote_samples.empty()) << "no remote source was sampled";
+  for (const auto& [key, count] : remote_samples) EXPECT_LE(count, 3);
 }
 
-TEST_F(SamplingFixture, KSampleDeterministicPerSeed) {
-  std::vector<NodeId> locals{0, 1, 2, 3};
-  const auto a = cluster_->storage(0).sample_k_neighbors(0, locals, 4, 9);
-  const auto b = cluster_->storage(0).sample_k_neighbors(0, locals, 4, 9);
-  EXPECT_EQ(a.global_ids, b.global_ids);
-  const auto c = cluster_->storage(0).sample_k_neighbors(0, locals, 4, 10);
-  EXPECT_NE(a.global_ids, c.global_ids);
+TEST_F(SamplingFixture, KHopDeterministicPerSeed) {
+  const std::vector<NodeId> roots{0, 1, 2, 3};
+  KHopOptions opts;
+  opts.fanouts = {4, 4};
+  opts.seed = 9;
+  const KHopResult a = sample_khop(cluster_->storage(0), roots, opts);
+  const KHopResult b = sample_khop(cluster_->storage(0), roots, opts);
+  EXPECT_EQ(khop_edges(a), khop_edges(b));
+  EXPECT_EQ(khop_levels(a), khop_levels(b));
+  opts.seed = 10;
+  const KHopResult c = sample_khop(cluster_->storage(0), roots, opts);
+  EXPECT_NE(khop_edges(a), khop_edges(c));
+}
+
+TEST_F(SamplingFixture, KHopMatchesReferenceReplay) {
+  // sample_khop's levels and edges equal the sampler's stream replayed
+  // over the Graph's own adjacency lists, for roots on every shard, a
+  // repeated root (which draws twice) and several seeds and depths.
+  for (ShardId s = 0; s < 3; ++s) {
+    std::vector<NodeId> roots = first_locals(s, 10);
+    roots.push_back(roots.front());
+    for (const std::uint64_t seed : {1u, 7u, 12345u}) {
+      for (const std::vector<int>& fanouts :
+           {std::vector<int>{10, 5}, std::vector<int>{3, 2, 2}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shard " << s << " seed " << seed << " depth "
+                     << fanouts.size());
+        KHopOptions opts;
+        opts.fanouts = fanouts;
+        opts.seed = seed;
+        const KHopResult got = sample_khop(cluster_->storage(s), roots, opts);
+        const KHopResult want = reference_khop(
+            s, 3, roots, opts, [&](NodeRef r) { return graph_row(r); });
+        ASSERT_GT(got.edges.size(), 0u);
+        EXPECT_EQ(khop_levels(got), khop_levels(want));
+        EXPECT_EQ(khop_edges(got), khop_edges(want));
+      }
+    }
+  }
 }
 
 TEST_F(SamplingFixture, KHopLevelsAndEdgesAreConsistent) {

@@ -83,7 +83,7 @@ TEST_F(ShardFixture, VertexPropMatchesGraph) {
         EXPECT_FLOAT_EQ(prop.edge_weights[k], weights[k]);
         EXPECT_FLOAT_EQ(prop.nbr_weighted_degrees[k],
                         graph_.weighted_degree(nbrs[k]));
-        EXPECT_EQ(shard.nbr_global_id(l, k), nbrs[k]);
+        EXPECT_EQ(prop.nbr_global_ids[k], nbrs[k]);
       }
     }
   }
@@ -138,27 +138,6 @@ TEST_F(ShardFixture, TensorListEncodingMatchesCsrEncoding) {
   }
   // The compressed encoding must be smaller — that is the point.
   EXPECT_LT(csr_w.size(), list_w.size());
-}
-
-TEST_F(ShardFixture, SampleOneNeighborReturnsActualNeighbors) {
-  const GraphShard& shard = *sharded_.shards[0];
-  std::vector<NodeId> locals;
-  for (NodeId l = 0; l < std::min<NodeId>(50, shard.num_core_nodes()); ++l) {
-    locals.push_back(l);
-  }
-  std::vector<NodeId> out_local, out_global;
-  std::vector<ShardId> out_shard;
-  shard.sample_one_neighbor(locals, 5, out_local, out_shard, out_global);
-  ASSERT_EQ(out_local.size(), locals.size());
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const NodeId v = shard.core_global_id(locals[i]);
-    const auto nbrs = graph_.neighbors(v);
-    const bool is_neighbor =
-        std::find(nbrs.begin(), nbrs.end(), out_global[i]) != nbrs.end();
-    EXPECT_TRUE(is_neighbor || (nbrs.empty() && out_global[i] == v));
-    EXPECT_EQ(sharded_.mapping.to_ref(out_global[i]).local, out_local[i]);
-    EXPECT_EQ(sharded_.mapping.to_ref(out_global[i]).shard, out_shard[i]);
-  }
 }
 
 TEST_F(ShardFixture, MemoryAccountingIsPlausible) {
@@ -255,20 +234,6 @@ TEST_F(DistStorageFixture, StatsCountLocalAndRemote) {
   EXPECT_EQ(storages_[0]->stats().remote_nodes.load(), 2u);
   EXPECT_EQ(storages_[0]->stats().remote_calls.load(), 1u);
   EXPECT_NEAR(storages_[0]->stats().remote_ratio(), 0.5, 1e-12);
-}
-
-TEST_F(DistStorageFixture, RemoteSampleMatchesMapping) {
-  const GraphShard& shard1 = *sharded_.shards[1];
-  std::vector<NodeId> locals;
-  for (NodeId l = 0; l < std::min<NodeId>(10, shard1.num_core_nodes()); ++l) {
-    locals.push_back(l);
-  }
-  const SampleResult res = storages_[0]->sample_one_neighbor(1, locals, 9);
-  ASSERT_EQ(res.local_ids.size(), locals.size());
-  for (std::size_t i = 0; i < locals.size(); ++i) {
-    const NodeRef ref{res.local_ids[i], res.shard_ids[i]};
-    EXPECT_EQ(sharded_.mapping.to_global(ref), res.global_ids[i]);
-  }
 }
 
 TEST_F(DistStorageFixture, OutOfRangeRequestsSurfaceAsErrors) {

@@ -1,8 +1,9 @@
 // Equality matrix for the traversal operators now riding the shared fetch
-// pipeline: BFS and random walk must produce identical results under every
-// combination of {halo cache, adjacency cache, compress, overlap}, and the
-// adjacency cache must demonstrably cut wire traffic on repeated
-// frontiers. Also covers the sampling-RPC byte crediting.
+// pipeline: BFS, random walk and k-hop sampling must produce identical
+// results under every combination of {halo cache, adjacency cache,
+// compress, overlap}, and the caches must demonstrably cut wire traffic
+// on repeated frontiers. Also covers the byte crediting of the single-row
+// and pipeline reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "ppr/bfs.hpp"
 #include "ppr/khop_sampler.hpp"
 #include "ppr/random_walk.hpp"
+#include "khop_reference.hpp"
 
 namespace ppr {
 namespace {
@@ -51,6 +53,17 @@ class TraversalPipelineFixture : public ::testing::Test {
     opts.cache_halo_adjacency = c.halo;
     opts.adjacency_cache_rows = c.adj_rows;
     return std::make_unique<Cluster>(graph_, part_, opts);
+  }
+
+  /// The first `n` core locals of `shard`.
+  static std::vector<NodeId> first_locals(const Cluster& cluster,
+                                          ShardId shard, NodeId n) {
+    std::vector<NodeId> out;
+    for (NodeId l = 0; l < std::min(n, cluster.shard(shard).num_core_nodes());
+         ++l) {
+      out.push_back(l);
+    }
+    return out;
   }
 
   Graph graph_;
@@ -126,10 +139,67 @@ TEST_F(TraversalPipelineFixture, RandomWalkIdenticalUnderEveryCacheConfig) {
   }
 }
 
+TEST_F(TraversalPipelineFixture, KHopIdenticalUnderEveryCacheConfig) {
+  std::vector<std::vector<std::uint64_t>> ref_levels;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ref_edges;
+  for (const Config& c : kMatrix) {
+    const auto cluster = make_cluster(c);
+    KHopOptions opts;
+    opts.fanouts = {4, 4, 2};
+    opts.seed = 11;
+    const std::vector<NodeId> roots = first_locals(*cluster, 0, 20);
+    const KHopResult cold = sample_khop(cluster->storage(0), roots, opts);
+    const KHopResult warm = sample_khop(cluster->storage(0), roots, opts);
+    EXPECT_EQ(khop_edges(cold), khop_edges(warm))
+        << "warm-cache drift under " << c.name;
+    EXPECT_EQ(khop_levels(cold), khop_levels(warm)) << c.name;
+    if (ref_edges.empty()) {
+      ref_levels = khop_levels(cold);
+      ref_edges = khop_edges(cold);
+      ASSERT_FALSE(ref_edges.empty());
+    } else {
+      EXPECT_EQ(khop_levels(cold), ref_levels) << "k-hop drift under " << c.name;
+      EXPECT_EQ(khop_edges(cold), ref_edges) << "k-hop drift under " << c.name;
+    }
+  }
+}
+
+TEST_F(TraversalPipelineFixture, KHopWireRowsDropWithEitherCache) {
+  // Rows a k-hop sample fetched once are served by the adjacency cache on
+  // the next call, and a two-level sample rooted on the own shard reads
+  // only rows of the own shard and its 1-hop halo.
+  const auto wire_rows = [&](bool halo, std::size_t adj_rows) {
+    const auto cluster = make_cluster(Config{"", halo, adj_rows, true, true});
+    KHopOptions opts;
+    opts.fanouts = {4, 4};
+    opts.seed = 11;
+    const std::vector<NodeId> roots = first_locals(*cluster, 0, 20);
+    std::pair<std::uint64_t, std::uint64_t> cold_warm;
+    cluster->reset_stats();
+    (void)sample_khop(cluster->storage(0), roots, opts);
+    cold_warm.first = cluster->storage(0).stats().remote_nodes.load();
+    cluster->reset_stats();
+    (void)sample_khop(cluster->storage(0), roots, opts);
+    cold_warm.second = cluster->storage(0).stats().remote_nodes.load();
+    return cold_warm;
+  };
+  const auto none = wire_rows(false, 0);
+  const auto halo = wire_rows(true, 0);
+  const auto adjacency = wire_rows(false, 1 << 16);
+  const auto both = wire_rows(true, 1 << 16);
+  ASSERT_GT(none.first, 0u) << "the sample must cross shards to bite";
+  EXPECT_EQ(none.second, none.first);
+  EXPECT_EQ(halo.first, 0u);
+  EXPECT_EQ(halo.second, 0u);
+  EXPECT_EQ(adjacency.first, none.first);
+  EXPECT_EQ(adjacency.second, 0u);
+  EXPECT_EQ(both.second, 0u);
+}
+
 TEST_F(TraversalPipelineFixture, BatchedWalkMatchesUnbatchedBaseline) {
-  // Both modes draw every walker's step from the same per-walker RNG
-  // stream (the server's first draw for a single source is exactly the
-  // client-side pick), so the trajectories agree bit-for-bit.
+  // Both modes pick every walker's step from the same row with the same
+  // per-walker RNG stream (the unbatched walk reads that row alone), so
+  // the trajectories agree bit-for-bit.
   const auto cluster = make_cluster(kMatrix[0]);
   const GraphShard& shard = cluster->shard(1);
   std::vector<NodeId> roots;
@@ -191,9 +261,9 @@ TEST_F(TraversalPipelineFixture, WalkCachesCutWireTrafficToo) {
   EXPECT_LT(warm, cold);
 }
 
-TEST_F(TraversalPipelineFixture, SamplingRpcPathsCreditBytes) {
-  // The server-side sampling RPCs (unbatched walk, k-hop sampler) must
-  // account their request/response payloads like the neighbor-info path.
+TEST_F(TraversalPipelineFixture, SingleRowAndPipelineReadsCreditBytes) {
+  // The unbatched walk's single-row fetches and the k-hop sampler's
+  // pipeline RPCs account their request/response payloads.
   const auto cluster = make_cluster(kMatrix[0]);
   std::vector<NodeId> roots;
   for (NodeId l = 0; l < std::min<NodeId>(25, cluster->shard(0).num_core_nodes());

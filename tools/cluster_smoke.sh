@@ -29,9 +29,11 @@ cleanup() {
 trap cleanup EXIT
 
 # A fixed port can race other tests (or a previous run in TIME_WAIT), so
-# derive a base from the PID and retry the whole bootstrap on collision.
+# draw a random base and retry the whole bootstrap on collision. Bases stay
+# below Linux's default ephemeral range (32768 and up), where outbound
+# connections would otherwise take the ports a node is about to bind.
 for attempt in 1 2 3; do
-  BASE=$((20000 + (RANDOM % 20000)))
+  BASE=$((20000 + (RANDOM % 12000)))
   CONF="${WORK}/cluster.conf"
   cat > "${CONF}" <<EOF
 cluster_name = smoke
@@ -113,7 +115,7 @@ echo "cluster_smoke: basic arm OK"
 # client must get bit-identical answers before and after.
 
 for attempt in 1 2 3; do
-  BASE=$((20000 + (RANDOM % 20000)))
+  BASE=$((20000 + (RANDOM % 12000)))
   CONF="${WORK}/failover.conf"
   GATE="${WORK}/drill.gate"
   rm -f "${GATE}"
