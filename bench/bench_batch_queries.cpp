@@ -12,8 +12,8 @@
 //        --eps E --batches 1,2,4,8,16
 //        --codecs flat,varint (wire-codec ablation: each batch point runs
 //        once per codec; identical results, different bytes on the wire)
-//        --kernel sparse|dense|adaptive --dense-threshold T --force-scalar
-//        (push-kernel ablation; results are bit-identical across kernels)
+//        --kernel sparse|dense --force-scalar (push-kernel ablation;
+//        results are bit-identical across kernels)
 #include "bench_common.hpp"
 
 #include "graph/generators.hpp"

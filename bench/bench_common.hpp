@@ -87,11 +87,10 @@ inline void apply_rpc_cost_model(const ArgParser& args) {
 }
 
 /// Push-kernel knobs shared by the PPR benches (DESIGN.md §14):
-///   --kernel sparse|dense|adaptive  representation policy (default: the
-///                                   engine default, adaptive)
-///   --dense-threshold T             adaptive promote density
-///   --force-scalar                  pin the scalar SIMD paths (same effect
-///                                   as GE_FORCE_SCALAR=1)
+///   --kernel sparse|dense  representation (default: the engine default,
+///                          dense)
+///   --force-scalar         pin the scalar SIMD paths (same effect as
+///                          GE_FORCE_SCALAR=1)
 /// Returns false (after printing an error) on an unknown kernel name.
 inline bool apply_kernel_options(const ArgParser& args, SspprOptions& o) {
   const std::string k = args.get_string("kernel", kernel_name(o.kernel));
@@ -99,14 +98,11 @@ inline bool apply_kernel_options(const ArgParser& args, SspprOptions& o) {
     o.kernel = SspprKernel::kSparse;
   } else if (k == "dense") {
     o.kernel = SspprKernel::kDense;
-  } else if (k == "adaptive") {
-    o.kernel = SspprKernel::kAdaptive;
   } else {
-    std::fprintf(stderr, "unknown kernel '%s' (want sparse|dense|adaptive)\n",
+    std::fprintf(stderr, "unknown kernel '%s' (want sparse|dense)\n",
                  k.c_str());
     return false;
   }
-  o.dense_threshold = args.get_double("dense-threshold", o.dense_threshold);
   if (args.get_bool("force-scalar", false)) simd::set_forced_scalar(true);
   return true;
 }

@@ -1,19 +1,16 @@
-// Frontier-density sweep for the adaptive dense/sparse push kernel
-// (DESIGN.md §14): drive the SAME query through the sparse and dense
-// kernels in lockstep — their frontiers are bit-identical by construction
-// — timing each round's push in both representations, and report where
-// the dense kernel starts winning (the measured promote-threshold
-// justification).
+// Frontier-density sweep for the dense/sparse push kernels (DESIGN.md
+// §14): drive the SAME query through the sparse and dense kernels in
+// lockstep — their frontiers are bit-identical by construction — timing
+// each round's push in both representations.
 //
 // One shard, zero-copy local fetches: what's timed is the kernel itself,
 // not the wire. Per-round JSON rows carry (eps, pass, round, density,
-// frontier, sparse_us, dense_us); a summary row per eps reports the
-// measured crossover density — the smallest frontier density above which
-// dense beats sparse in aggregate — plus end-to-end query times for the
-// sparse / dense / adaptive policies, cold and warm.
+// frontier, sparse_us, dense_us); a summary row per eps counts the warm
+// rounds the dense kernel wins and reports the mean query time of each
+// kernel on one recycled state (reset + the whole pop/push loop), which
+// is how every driver runs its states.
 //
 // Flags: --nodes N --edges M --queries Q --eps-list 1e-5,1e-6,1e-7
-//        --dense-threshold T (adaptive policy under test)
 //        --force-scalar (pin scalar SIMD paths; compare against default)
 #include "bench_common.hpp"
 
@@ -42,21 +39,22 @@ struct RoundRow {
   double dense_us = 0;
 };
 
+SspprOptions kernel_options(double eps, SspprKernel kernel) {
+  SspprOptions o;
+  o.alpha = 0.462;
+  o.epsilon = eps;
+  o.kernel = kernel;
+  return o;
+}
+
 /// Run source `src` through both kernels in lockstep against `shard`,
 /// timing each round's push pair. Returns per-round rows.
 std::vector<RoundRow> lockstep_rounds(const GraphShard& shard, NodeId src,
-                                      double eps, double dense_threshold) {
-  SspprOptions sparse_opts;
-  sparse_opts.alpha = 0.462;
-  sparse_opts.epsilon = eps;
-  sparse_opts.kernel = SspprKernel::kSparse;
-  sparse_opts.dense_threshold = dense_threshold;
-  SspprOptions dense_opts = sparse_opts;
-  dense_opts.kernel = SspprKernel::kDense;
-  dense_opts.shard_core_counts = {shard.num_core_nodes()};
-
-  SspprState sparse(NodeRef{src, 0}, sparse_opts);
-  SspprState dense(NodeRef{src, 0}, dense_opts);
+                                      double eps) {
+  const NodeId topology[] = {shard.num_core_nodes()};
+  SspprState sparse(NodeRef{src, 0}, kernel_options(eps, SspprKernel::kSparse));
+  SspprState dense(NodeRef{src, 0}, kernel_options(eps, SspprKernel::kDense));
+  dense.bind_topology(topology);
 
   std::vector<RoundRow> rows;
   std::vector<NodeId> nodes, dnodes;
@@ -73,7 +71,8 @@ std::vector<RoundRow> lockstep_rounds(const GraphShard& shard, NodeId src,
     const auto infos = shard.get_neighbor_infos(nodes);
     RoundRow row;
     row.frontier = nodes.size();
-    row.density = dense.last_round_density();
+    row.density = static_cast<double>(nodes.size()) /
+                  static_cast<double>(shard.num_core_nodes());
     double t0 = now_us();
     sparse.push(infos, nodes, shards);
     double t1 = now_us();
@@ -86,48 +85,28 @@ std::vector<RoundRow> lockstep_rounds(const GraphShard& shard, NodeId src,
   return rows;
 }
 
-/// End-to-end single-query kernel time (pop + fetch + push loop).
-double query_us(const GraphShard& shard, NodeId src, double eps,
-                SspprKernel kernel, double dense_threshold) {
-  SspprOptions o;
-  o.alpha = 0.462;
-  o.epsilon = eps;
-  o.kernel = kernel;
-  o.dense_threshold = dense_threshold;
-  if (kernel != SspprKernel::kSparse) {
-    o.shard_core_counts = {shard.num_core_nodes()};
-  }
-  const double t0 = now_us();
-  SspprState state(NodeRef{src, 0}, o);
+/// Mean query time (reset + pop/fetch/push loop) of `sources` run one
+/// after another on one recycled state of `kernel`.
+double recycled_query_us(const GraphShard& shard,
+                         const std::vector<NodeId>& sources, double eps,
+                         SspprKernel kernel) {
+  const NodeId topology[] = {shard.num_core_nodes()};
+  SspprState state(NodeRef{sources[0], 0}, kernel_options(eps, kernel));
+  state.bind_topology(topology);
   std::vector<NodeId> nodes;
   std::vector<ShardId> shards;
-  for (;;) {
-    state.pop(nodes, shards);
-    if (nodes.empty()) break;
-    state.push(shard.get_neighbor_infos(nodes), nodes, shards);
-  }
-  return now_us() - t0;
-}
-
-/// Smallest round density above which the dense kernel wins in aggregate
-/// (0 when it never does): for each candidate threshold t, compare the
-/// summed round times restricted to rounds with density >= t.
-double crossover_density(const std::vector<RoundRow>& rows) {
-  double best = 0;
-  for (const RoundRow& cand : rows) {
-    double sparse_sum = 0, dense_sum = 0;
-    for (const RoundRow& r : rows) {
-      if (r.density >= cand.density) {
-        sparse_sum += r.sparse_us;
-        dense_sum += r.dense_us;
-      }
+  double total = 0;
+  for (const NodeId src : sources) {
+    const double t0 = now_us();
+    state.reset(NodeRef{src, 0});
+    for (;;) {
+      state.pop(nodes, shards);
+      if (nodes.empty()) break;
+      state.push(shard.get_neighbor_infos(nodes), nodes, shards);
     }
-    if (dense_sum < sparse_sum &&
-        (best == 0 || cand.density < best)) {
-      best = cand.density;
-    }
+    total += now_us() - t0;
   }
-  return best;
+  return total / static_cast<double>(sources.size());
 }
 
 }  // namespace
@@ -138,7 +117,6 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<NodeId>(args.get_int("nodes", 100000));
   const auto edges = static_cast<EdgeIndex>(args.get_int("edges", 800000));
   const int queries = static_cast<int>(args.get_int("queries", 3));
-  const double dense_threshold = args.get_double("dense-threshold", 0.02);
   if (args.get_bool("force-scalar", false)) simd::set_forced_scalar(true);
 
   std::vector<double> eps_list;
@@ -157,14 +135,17 @@ int main(int argc, char** argv) {
   const GraphShard& shard = *sharded.shards[0];
 
   bench::print_header(
-      "Push-kernel density sweep: per-round sparse vs dense time and the "
-      "measured crossover density");
-  std::printf("graph: rmat |V|=%lld |E|=%lld, single shard, "
-              "simd=%s, dense_threshold(adaptive)=%g\n\n",
+      "Push-kernel density sweep: per-round sparse vs dense push time");
+  std::printf("graph: rmat |V|=%lld |E|=%lld, single shard, simd=%s\n\n",
               static_cast<long long>(g.num_nodes()),
               static_cast<long long>(g.num_edges()),
-              simd::level_name(simd::active_level()), dense_threshold);
+              simd::level_name(simd::active_level()));
 
+  std::vector<NodeId> sources;
+  for (int q = 0; q < queries; ++q) {
+    sources.push_back(static_cast<NodeId>(
+        (static_cast<NodeId>(q) * 9173 + 11) % shard.num_core_nodes()));
+  }
   for (const double eps : eps_list) {
     std::vector<RoundRow> warm_rows;
     for (const char* pass : {"cold", "warm"}) {
@@ -172,10 +153,8 @@ int main(int argc, char** argv) {
       // (maps, dense arrays, scratch pool); "warm" runs after the pools
       // and allocator are primed by the cold pass.
       std::vector<RoundRow> rows;
-      for (int q = 0; q < queries; ++q) {
-        const auto src = static_cast<NodeId>(
-            (static_cast<NodeId>(q) * 9173 + 11) % shard.num_core_nodes());
-        const auto qr = lockstep_rounds(shard, src, eps, dense_threshold);
+      for (const NodeId src : sources) {
+        const auto qr = lockstep_rounds(shard, src, eps);
         rows.insert(rows.end(), qr.begin(), qr.end());
       }
       for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -188,32 +167,20 @@ int main(int argc, char** argv) {
       warm_rows = std::move(rows);
     }
 
-    // Policy-level end-to-end times, cold then warm (same sources).
-    const auto policy_us = [&](SspprKernel k) {
-      double total = 0;
-      for (int q = 0; q < queries; ++q) {
-        const auto src = static_cast<NodeId>(
-            (static_cast<NodeId>(q) * 9173 + 11) % shard.num_core_nodes());
-        total += query_us(shard, src, eps, k, dense_threshold);
-      }
-      return total / queries;
-    };
-    const double sparse_cold = policy_us(SspprKernel::kSparse);
-    const double sparse_warm = policy_us(SspprKernel::kSparse);
-    const double dense_cold = policy_us(SspprKernel::kDense);
-    const double dense_warm = policy_us(SspprKernel::kDense);
-    const double adaptive_cold = policy_us(SspprKernel::kAdaptive);
-    const double adaptive_warm = policy_us(SspprKernel::kAdaptive);
-
+    std::size_t dense_wins = 0;
+    double sparse_sum = 0, dense_sum = 0;
+    for (const RoundRow& r : warm_rows) {
+      if (r.dense_us < r.sparse_us) ++dense_wins;
+      sparse_sum += r.sparse_us;
+      dense_sum += r.dense_us;
+    }
     std::printf(
-        "{\"eps\": %g, \"crossover_density\": %.6f, "
-        "\"sparse_us\": {\"cold\": %.1f, \"warm\": %.1f}, "
-        "\"dense_us\": {\"cold\": %.1f, \"warm\": %.1f}, "
-        "\"adaptive_us\": {\"cold\": %.1f, \"warm\": %.1f}, "
-        "\"adaptive_speedup_warm\": %.3f}\n\n",
-        eps, crossover_density(warm_rows), sparse_cold, sparse_warm,
-        dense_cold, dense_warm, adaptive_cold, adaptive_warm,
-        sparse_warm / adaptive_warm);
+        "{\"eps\": %g, \"rounds\": %zu, \"dense_faster_rounds\": %zu, "
+        "\"sparse_round_us\": %.1f, \"dense_round_us\": %.1f, "
+        "\"sparse_query_us\": %.1f, \"dense_query_us\": %.1f}\n\n",
+        eps, warm_rows.size(), dense_wins, sparse_sum, dense_sum,
+        recycled_query_us(shard, sources, eps, SspprKernel::kSparse),
+        recycled_query_us(shard, sources, eps, SspprKernel::kDense));
   }
   return 0;
 }

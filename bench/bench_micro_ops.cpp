@@ -62,7 +62,9 @@ void BM_HashMapSspprQuery(benchmark::State& state) {
   const auto& shard = *bench_shards(state.range(0)).shards[0];
   const double eps = 1e-5;
   for (auto _ : state) {
-    SspprState s(NodeRef{3, 0}, SspprOptions{.alpha = 0.462, .epsilon = eps});
+    SspprState s(NodeRef{3, 0}, SspprOptions{.alpha = 0.462,
+                                             .epsilon = eps,
+                                             .kernel = SspprKernel::kSparse});
     std::vector<NodeId> nodes;
     std::vector<ShardId> shards;
     for (;;) {

@@ -24,6 +24,7 @@
 //        --max-seconds S       wall-clock cap per point
 //        --mode open|closed|both
 //        --seed S              arrival-schedule seed
+//        --kernel sparse|dense --force-scalar   push-kernel ablation
 //        --smoke               tiny graph, 2-point sweep, 2s cap
 #include "bench_common.hpp"
 
@@ -162,6 +163,10 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   const std::string mode = args.get_string("mode", "both");
   bench::apply_rpc_cost_model(args);
+  SspprOptions ppr;
+  ppr.alpha = 0.462;
+  ppr.epsilon = eps;
+  if (!bench::apply_kernel_options(args, ppr)) return 1;
 
   const std::vector<int> batch_sizes =
       parse_int_list(args.get_string("batches", "1,16"));
@@ -175,10 +180,12 @@ int main(int argc, char** argv) {
       "Online SSPPR serving: goodput and latency SLOs vs offered load "
       "and micro-batching knobs");
   std::printf("graph: rmat |V|=%lld |E|=%lld, %d machines, queue=%zu, "
-              "delay=%gus, deadline=%gus, eps=%g, cache_rows=%zu\n\n",
+              "delay=%gus, deadline=%gus, eps=%g, cache_rows=%zu, "
+              "kernel=%s\n\n",
               static_cast<long long>(g.num_nodes()),
               static_cast<long long>(g.num_edges()), machines, max_queue,
-              delay_us, deadline_us, eps, cache_rows);
+              delay_us, deadline_us, eps, cache_rows,
+              kernel_name(ppr.kernel));
 
   for (const int b : batch_sizes) {
     // Fresh cluster per batch point: comparable cold adjacency caches.
@@ -192,8 +199,7 @@ int main(int argc, char** argv) {
     o.max_batch_delay_us = delay_us;
     o.default_deadline_us = deadline_us;
     o.collect_entries = false;  // pure scheduling/SLO measurement
-    o.ppr.alpha = 0.462;
-    o.ppr.epsilon = eps;
+    o.ppr = ppr;
     o.driver = DriverOptions::overlapped();
 
     if (mode == "closed" || mode == "both") {

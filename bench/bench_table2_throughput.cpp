@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
     w.procs_per_machine = procs;
     w.ppr.alpha = 0.462;
     w.ppr.epsilon = 1e-6;
-    // --kernel / --dense-threshold / --force-scalar select the engine's
-    // push-kernel representation (bit-identical results either way).
+    // --kernel / --force-scalar select the engine's push-kernel
+    // representation (bit-identical results either way).
     if (!bench::apply_kernel_options(args, w.ppr)) return 1;
     w.warmup_runs = 1;
     w.measured_runs = quick ? 1 : 3;

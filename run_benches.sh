@@ -28,8 +28,8 @@ mkdir -p "$OBS_DIR"
   ./build/bench/bench_batch_queries --nodes 4000 --edges 16000 \
       --queries 64 --batches 16 --codecs flat,varint 2>&1
   echo
-  echo "##### bench_batch_queries (smoke: sparse vs adaptive vs dense kernel)"
-  for k in sparse adaptive dense; do
+  echo "##### bench_batch_queries (smoke: sparse vs dense kernel)"
+  for k in sparse dense; do
     ./build/bench/bench_batch_queries --nodes 4000 --edges 16000 \
         --queries 64 --batches 16 --kernel "$k" 2>&1
   done

@@ -88,17 +88,20 @@ class ByteWriter {
     buf_.clear();
   }
 
+  // Appends grow the buffer and memcpy into the new tail: GCC 12 reports
+  // a small vector::insert into a fresh writer as a -Wstringop-overflow
+  // (a false positive that fails -Werror builds).
   template <typename T>
   void write(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    write_bytes(&v, sizeof(T));
   }
 
   void write_bytes(const void* data, std::size_t n) {
     if (n == 0) return;  // data may be null for empty arrays
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
   }
 
   void write_string(const std::string& s) {

@@ -58,9 +58,14 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
   BatchRunStats stats;
   stats.num_queries = nq;
   if (nq == 0) return stats;
-  for (const SspprState& s : states) {
+  // Each state learns the cluster's layout from the storage it runs on;
+  // a dense state moves into its flat arrays on its first run.
+  const std::span<const NodeId> topology =
+      storage.version_tracker().core_rows();
+  for (SspprState& s : states) {
     GE_REQUIRE(s.source().shard == self,
                "owner-compute rule: every source must live on this shard");
+    s.bind_topology(topology);
   }
 
   BatchScratch scratch(nq, ns);
@@ -151,7 +156,7 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
     obs::ScopedSpan round_span("ssppr.batch_round");
     if (round_span.active()) {
       // mode=dense / mode=sparse when the whole batch agrees, mode=mixed
-      // when queries are in different representations this round.
+      // when it holds states of both kernels.
       bool any_dense = false;
       bool any_sparse = false;
       for (const SspprState& s : states) {

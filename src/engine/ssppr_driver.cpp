@@ -68,6 +68,7 @@ SspprRunStats run_ssppr(const DistGraphStorage& storage, SspprState& state,
     // this query reads the same graph version while mutations land.
     const auto snap = storage.local_store().snapshot(
         storage.resolve_pin(options.graph_version));
+    state.bind_topology(storage.version_tracker().core_rows());
     std::vector<NodeId> node_ids;
     std::vector<ShardId> shard_ids;
     for (;;) {

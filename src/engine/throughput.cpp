@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <span>
 
 #include "common/rng.hpp"
@@ -122,34 +123,33 @@ ThroughputResult measure_engine_throughput(Cluster& cluster,
                                            const WorkloadOptions& options) {
   GE_REQUIRE(options.query_batch_size >= 1,
              "query_batch_size must be >= 1");
-  // Bind the cluster's shard sizes so the adaptive/dense push kernels know
-  // their dense universe; a topology the caller filled in explicitly wins.
-  WorkloadOptions opts = options;
-  if (opts.ppr.shard_core_counts.empty()) {
-    for (int m = 0; m < cluster.num_machines(); ++m) {
-      opts.ppr.shard_core_counts.push_back(
-          static_cast<NodeId>(cluster.shard(m).num_core_nodes()));
-    }
-  }
-  const auto bsz = static_cast<std::size_t>(opts.query_batch_size);
+  const auto bsz = static_cast<std::size_t>(options.query_batch_size);
   return measure(
-      cluster, opts,
+      cluster, options,
       [&](int machine, std::span<const NodeId> sources) -> std::size_t {
         const auto shard = static_cast<ShardId>(machine);
         std::size_t num_pushes = 0;
         if (bsz == 1) {
+          // One state per process, reset per query: a dense state's arrays
+          // are allocated once, not once per query.
+          std::optional<SspprState> state;
           for (const NodeId source_local : sources) {
-            SspprState state(NodeRef{source_local, shard}, opts.ppr);
+            const NodeRef source{source_local, shard};
+            if (state) {
+              state->reset(source);
+            } else {
+              state.emplace(source, options.ppr);
+            }
             num_pushes +=
-                run_ssppr(cluster.storage(machine), state, opts.driver)
+                run_ssppr(cluster.storage(machine), *state, options.driver)
                     .num_pushes;
           }
           return num_pushes;
         }
         // Lockstep batches of up to `bsz` queries sharing one state pool;
-        // leased blocks keep their submap capacity across chunks (the same
-        // pool class serves the online QueryService).
-        SspprStatePool pool(opts.ppr);
+        // leased blocks keep their submap capacity and dense arrays across
+        // chunks (the same pool class serves the online QueryService).
+        SspprStatePool pool(options.ppr);
         std::vector<NodeRef> refs;
         refs.reserve(bsz);
         for (std::size_t lo = 0; lo < sources.size(); lo += bsz) {
@@ -160,7 +160,7 @@ ThroughputResult measure_engine_throughput(Cluster& cluster,
           }
           SspprStatePool::Lease lease = pool.acquire(refs);
           num_pushes += run_ssppr_batch(cluster.storage(machine),
-                                        lease.states(), opts.driver)
+                                        lease.states(), options.driver)
                             .num_pushes;
         }
         return num_pushes;

@@ -3,7 +3,10 @@
 // synchronization, and reports queries/second across all machines.
 // Phase times are the process-wide `pipeline.phase_us` sums read before
 // the first measured run and after the last, so run one measurement at a
-// time.
+// time. No per-query loop constructs a state: each computing process
+// resets one state (batch 1) or leases pooled blocks (batched), so a
+// dense state's arrays — 16 B per core node, zeroed on allocation — are
+// paid once per process per run, not once per query.
 #pragma once
 
 #include <array>
@@ -19,8 +22,9 @@ struct WorkloadOptions {
   /// Total queries assigned to each machine (split across its processes).
   int queries_per_machine = 32;
   /// Queries each computing process advances in lockstep through
-  /// run_ssppr_batch so their remote fetches coalesce; 1 keeps the old
-  /// one-query-at-a-time run_ssppr path (engine harness only).
+  /// run_ssppr_batch so their remote fetches coalesce; 1 keeps the
+  /// one-query-at-a-time run_ssppr path on one recycled state (engine
+  /// harness only).
   int query_batch_size = 1;
   int warmup_runs = 1;
   int measured_runs = 3;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/simd.hpp"
 #include "obs/metrics.hpp"
@@ -18,8 +19,6 @@ const char* kernel_name(SspprKernel k) {
       return "sparse";
     case SspprKernel::kDense:
       return "dense";
-    case SspprKernel::kAdaptive:
-      return "adaptive";
   }
   return "unknown";
 }
@@ -33,63 +32,70 @@ BufferPool& SspprState::scratch_pool() {
 
 SspprState::SspprState(NodeRef source, SspprOptions options)
     : source_(source),
-      options_(std::move(options)),
+      options_(options),
       pi_(options_.submap_bits),
       residual_(options_.submap_bits) {
   GE_REQUIRE(options_.alpha > 0 && options_.alpha < 1,
              "alpha must be in (0,1)");
   GE_REQUIRE(options_.epsilon > 0, "epsilon must be positive");
   GE_REQUIRE(options_.num_threads >= 1, "num_threads must be >= 1");
-  GE_REQUIRE(options_.dense_threshold > 0 && options_.dense_threshold <= 1,
-             "dense_threshold must be in (0,1]");
-  if (!options_.shard_core_counts.empty()) {
-    bind_topology(options_.shard_core_counts);
-  }
   seed(source);
 }
 
 void SspprState::seed(NodeRef source) {
   source_ = source;
   const std::uint64_t key = source.key();
-  residual_.upsert(key, [](Residual& e) {
-    e.r = 1.0;
-    e.in_frontier = true;
-  });
+  if (dense_) {
+    const std::size_t s = slot_for(source.shard, source.local);
+    const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+    dense_r_[s] = 1.0;
+    frontier_bits_[s >> 6] |= bit;
+    touched_bits_[s >> 6] |= bit;
+  } else {
+    residual_.upsert(key, [](Residual& e) {
+      e.r = 1.0;
+      e.in_frontier = true;
+    });
+  }
   activated_.push_back(key);
-  // A forced-dense kernel lives in the arrays from the very first round.
-  if (options_.kernel == SspprKernel::kDense) promote_to_dense();
 }
 
 void SspprState::reset(NodeRef source) {
-  pi_.clear();
-  residual_.clear();
   activated_.clear();
   num_pushes_ = 0;
-  last_density_ = 0.0;
-  promotions_ = 0;
-  demotions_ = 0;
   if (dense_) {
-    std::fill(dense_pi_.begin(), dense_pi_.end(), 0.0);
-    std::fill(dense_r_.begin(), dense_r_.end(), 0.0);
-    std::fill(frontier_bits_.begin(), frontier_bits_.end(), 0u);
-    dense_ = false;
+    // Frontier bits lie inside the touched set, so clearing the touched
+    // words' slots and both bitmaps' words zeroes the whole state.
+    for (std::size_t w = 0; w < touched_bits_.size(); ++w) {
+      std::uint64_t bits = touched_bits_[w];
+      if (bits == 0) continue;
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t s =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+        dense_pi_[s] = 0.0;
+        dense_r_[s] = 0.0;
+      }
+      touched_bits_[w] = 0;
+      frontier_bits_[w] = 0;
+    }
+  } else {
+    pi_.clear();
+    residual_.clear();
   }
   seed(source);
 }
 
 void SspprState::bind_topology(std::span<const NodeId> shard_core_counts) {
-  if (shard_core_counts.empty()) return;
-  if (!shard_counts_.empty()) {
-    if (std::equal(shard_counts_.begin(), shard_counts_.end(),
-                   shard_core_counts.begin(), shard_core_counts.end())) {
-      return;  // idempotent rebind of the same topology
-    }
-    GE_REQUIRE(!dense_,
-               "cannot rebind a different topology while the state is dense");
+  if (options_.kernel == SspprKernel::kSparse) return;  // maps need no layout
+  if (dense_) {
+    GE_REQUIRE(std::equal(shard_counts_.begin(), shard_counts_.end(),
+                          shard_core_counts.begin(), shard_core_counts.end()),
+               "cannot rebind a dense state to a different topology");
+    return;
   }
   std::size_t total = 0;
   for (const NodeId c : shard_core_counts) {
-    GE_REQUIRE(c >= 0, "shard_core_counts must be non-negative");
+    GE_REQUIRE(c >= 0, "shard core counts must be non-negative");
     total += static_cast<std::size_t>(c);
   }
   GE_REQUIRE(total > 0, "topology must contain at least one core node");
@@ -100,119 +106,56 @@ void SspprState::bind_topology(std::span<const NodeId> shard_core_counts) {
     shard_base_[s + 1] =
         shard_base_[s] + static_cast<std::size_t>(shard_counts_[s]);
   }
-  universe_ = total;
-  // Any previously sized dense arrays are stale for the new layout; they
-  // are all-zero (sparse-mode invariant), so dropping them is loss-free
-  // and ensure_dense_storage() re-sizes on the next promotion.
-  if (dense_pi_.size() != universe_) {
-    dense_pi_.clear();
-    dense_r_.clear();
-    frontier_bits_.clear();
-  }
-}
+  dense_pi_.assign(total, 0.0);
+  dense_r_.assign(total, 0.0);
+  frontier_bits_.assign((total + 63) / 64, 0u);
+  touched_bits_.assign((total + 63) / 64, 0u);
 
-void SspprState::ensure_dense_storage() {
-  if (dense_pi_.size() == universe_) return;
-  dense_pi_.assign(universe_, 0.0);
-  dense_r_.assign(universe_, 0.0);
-  frontier_bits_.assign((universe_ + 63) / 64, 0u);
-}
-
-void SspprState::promote_to_dense() {
-  if (dense_) return;
-  GE_REQUIRE(dense_capable(),
-             "dense kernel requires a bound shard topology "
-             "(SspprOptions::shard_core_counts or bind_topology)");
-  ensure_dense_storage();
+  // Move the maps in: every stored value is copied bitwise.
+  const auto touch = [&](std::uint64_t key) {
+    const NodeRef ref = NodeRef::from_key(key);
+    GE_REQUIRE(in_topology(ref.shard, ref.local),
+               "state holds a node outside the bound topology");
+    const std::size_t s = slot_for(ref.shard, ref.local);
+    touched_bits_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    return s;
+  };
   residual_.for_each([&](std::uint64_t key, const Residual& e) {
-    const std::size_t s = slot_for_key(key);
+    const std::size_t s = touch(key);
     dense_r_[s] = e.r;
     if (e.in_frontier) frontier_bits_[s >> 6] |= std::uint64_t{1} << (s & 63);
   });
   pi_.for_each([&](std::uint64_t key, const double& v) {
-    dense_pi_[slot_for_key(key)] = v;
+    dense_pi_[touch(key)] = v;
   });
   pi_.clear();
   residual_.clear();
   dense_ = true;
-  ++promotions_;
-  static obs::Counter& promoted =
-      obs::MetricRegistry::global().counter("ssppr.kernel_promotions");
-  promoted.add(1);
 }
 
-void SspprState::demote_to_sparse() {
-  if (!dense_) return;
-  // Slot order is ascending-key order, so re-insertion is deterministic.
-  // Entries with r == 0 and a clear frontier bit carry no information
-  // (π-only slots keep their π entry); dropping them is loss-free.
-  for (std::size_t shard = 0; shard < shard_counts_.size(); ++shard) {
-    const std::size_t base = shard_base_[shard];
-    const auto cnt = static_cast<std::size_t>(shard_counts_[shard]);
-    for (std::size_t local = 0; local < cnt; ++local) {
-      const std::size_t s = base + local;
-      const double r = dense_r_[s];
-      const bool fb = frontier_bit(s);
-      const double v = dense_pi_[s];
-      if (r != 0.0 || fb || v != 0.0) {
-        const std::uint64_t key =
-            NodeRef{static_cast<NodeId>(local), static_cast<ShardId>(shard)}
-                .key();
-        if (r != 0.0 || fb) {
-          residual_.upsert(key, [&](Residual& e) {
-            e.r = r;
-            e.in_frontier = fb;
-          });
-        }
-        if (v != 0.0) {
-          pi_.upsert(key, [&](double& p) { p = v; });
-        }
-      }
+template <typename Fn>
+void SspprState::for_each_touched(Fn&& fn) const {
+  std::size_t shard = 0;
+  for (std::size_t w = 0; w < touched_bits_.size(); ++w) {
+    for (std::uint64_t bits = touched_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t s =
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      while (s >= shard_base_[shard + 1]) ++shard;
+      fn(s, NodeRef{static_cast<NodeId>(s - shard_base_[shard]),
+                    static_cast<ShardId>(shard)});
     }
-  }
-  std::fill(dense_pi_.begin(), dense_pi_.end(), 0.0);
-  std::fill(dense_r_.begin(), dense_r_.end(), 0.0);
-  std::fill(frontier_bits_.begin(), frontier_bits_.end(), 0u);
-  dense_ = false;
-  ++demotions_;
-  static obs::Counter& demoted =
-      obs::MetricRegistry::global().counter("ssppr.kernel_demotions");
-  demoted.add(1);
-}
-
-void SspprState::record_pop_metrics() const {
-  auto& reg = obs::MetricRegistry::global();
-  static obs::Counter& mode_sparse =
-      reg.counter("ssppr.kernel_mode", {{"mode", "sparse"}});
-  static obs::Counter& mode_dense =
-      reg.counter("ssppr.kernel_mode", {{"mode", "dense"}});
-  static obs::Histogram& density = reg.histogram("ssppr.round_density");
-  (dense_ ? mode_dense : mode_sparse).add(1);
-  if (dense_capable()) {
-    // Densities are fractions; the log-bucketed histogram stores them in
-    // parts-per-million.
-    density.record(static_cast<std::uint64_t>(last_density_ * 1e6));
   }
 }
 
 void SspprState::pop(std::vector<NodeId>& node_ids,
                      std::vector<ShardId>& shard_ids) {
+  auto& reg = obs::MetricRegistry::global();
+  static obs::Counter& mode_sparse =
+      reg.counter("ssppr.kernel_mode", {{"mode", "sparse"}});
+  static obs::Counter& mode_dense =
+      reg.counter("ssppr.kernel_mode", {{"mode", "dense"}});
+  (dense_ ? mode_dense : mode_sparse).add(1);
   const std::size_t fsz = activated_.size();
-  last_density_ = dense_capable() ? static_cast<double>(fsz) /
-                                        static_cast<double>(universe_)
-                                  : 0.0;
-  // The round boundary: switch representation for the coming push round.
-  // An empty frontier means the query is over — never switch on it.
-  if (options_.kernel == SspprKernel::kAdaptive && dense_capable() &&
-      fsz != 0) {
-    if (!dense_ && last_density_ >= options_.dense_threshold) {
-      promote_to_dense();
-    } else if (dense_ && last_density_ <
-                             options_.dense_threshold * kDemoteHysteresis) {
-      demote_to_sparse();
-    }
-  }
-  record_pop_metrics();
   node_ids.resize(fsz);
   shard_ids.resize(fsz);
   for (std::size_t i = 0; i < fsz; ++i) {
@@ -363,6 +306,7 @@ void SspprState::push_rows(RowFn&& row, std::span<const NodeId> node_ids,
       const double nr = dense_r_[su] + add[k];
       dense_r_[su] = nr;
       const std::uint64_t bit = std::uint64_t{1} << (su & 63);
+      touched_bits_[su >> 6] |= bit;
       if (!(frontier_bits_[su >> 6] & bit) && nr > thr[k]) {
         frontier_bits_[su >> 6] |= bit;
         activated_.push_back(
@@ -401,6 +345,12 @@ void SspprState::push_rows(RowFn&& row, std::span<const NodeId> node_ids,
           dense_r_[su] + static_cast<double>(vp.edge_weights[k]) * m;
       dense_r_[su] = nr;
       const std::uint64_t bit = std::uint64_t{1} << (su & 63);
+      // Bit su belongs to this thread alone, so a relaxed test before the
+      // shared word's atomic OR cannot miss a set.
+      std::atomic_ref<std::uint64_t> touched(touched_bits_[su >> 6]);
+      if (!(touched.load(std::memory_order_relaxed) & bit)) {
+        touched.fetch_or(bit, std::memory_order_relaxed);
+      }
       std::atomic_ref<std::uint64_t> word(frontier_bits_[su >> 6]);
       if (!(word.load(std::memory_order_relaxed) & bit) &&
           nr > eps * static_cast<double>(vp.nbr_weighted_degrees[k])) {
@@ -465,18 +415,9 @@ void SspprState::push(const NeighborBatch& batch,
 std::vector<std::pair<NodeRef, double>> SspprState::ppr_entries() const {
   std::vector<std::pair<NodeRef, double>> out;
   if (dense_) {
-    for (std::size_t shard = 0; shard < shard_counts_.size(); ++shard) {
-      const std::size_t base = shard_base_[shard];
-      const auto cnt = static_cast<std::size_t>(shard_counts_[shard]);
-      for (std::size_t local = 0; local < cnt; ++local) {
-        const double v = dense_pi_[base + local];
-        if (v > 0) {
-          out.emplace_back(NodeRef{static_cast<NodeId>(local),
-                                   static_cast<ShardId>(shard)},
-                           v);
-        }
-      }
-    }
+    for_each_touched([&](std::size_t s, NodeRef ref) {
+      if (dense_pi_[s] > 0) out.emplace_back(ref, dense_pi_[s]);
+    });
     return out;
   }
   pi_.for_each([&](std::uint64_t key, const double& v) {
@@ -488,18 +429,9 @@ std::vector<std::pair<NodeRef, double>> SspprState::ppr_entries() const {
 std::vector<std::pair<NodeRef, double>> SspprState::residual_entries() const {
   std::vector<std::pair<NodeRef, double>> out;
   if (dense_) {
-    for (std::size_t shard = 0; shard < shard_counts_.size(); ++shard) {
-      const std::size_t base = shard_base_[shard];
-      const auto cnt = static_cast<std::size_t>(shard_counts_[shard]);
-      for (std::size_t local = 0; local < cnt; ++local) {
-        const double r = dense_r_[base + local];
-        if (r > 0) {
-          out.emplace_back(NodeRef{static_cast<NodeId>(local),
-                                   static_cast<ShardId>(shard)},
-                           r);
-        }
-      }
-    }
+    for_each_touched([&](std::size_t s, NodeRef ref) {
+      if (dense_r_[s] > 0) out.emplace_back(ref, dense_r_[s]);
+    });
     return out;
   }
   residual_.for_each([&](std::uint64_t key, const Residual& e) {
@@ -520,15 +452,16 @@ std::vector<double> SspprState::to_dense(const GlobalMapping& mapping,
 double SspprState::total_mass() const {
   double mass = 0;
   if (dense_) {
-    // Slot order == ascending packed-key order; π before r per node.
-    for (std::size_t s = 0; s < universe_; ++s) {
+    // Touched slots in ascending key order, π before r per node; an
+    // untouched slot would add +0.0, an exact no-op.
+    for_each_touched([&](std::size_t s, NodeRef) {
       mass += dense_pi_[s];
       mass += dense_r_[s];
-    }
+    });
     return mass;
   }
   // Canonical ascending-key union (π before r per key) so the sum is
-  // bit-identical to the dense slot scan: skipped zero entries are exact
+  // bit-identical to the dense scan: skipped zero entries are exact
   // no-ops for a sum of non-negative terms.
   std::vector<std::pair<std::uint64_t, double>> pis;
   std::vector<std::pair<std::uint64_t, double>> rs;

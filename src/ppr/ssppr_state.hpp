@@ -3,31 +3,33 @@
 // propagation for a batch of sources given their neighbor info).
 //
 // The state keeps π (PPR estimates) and r (residuals, which also carry
-// activated-set membership) in one of two interchangeable representations:
+// activated-set membership) in one of two representations, fixed for the
+// state's whole life by SspprOptions::kernel:
 //
-//   * sparse — sharded parallel hash maps keyed by packed
-//     <local id, shard id> NodeRefs. Right when the activated set is a
-//     tiny fraction of the graph (low ε, late rounds).
-//   * dense — flat per-shard double arrays indexed by
-//     shard_base[shard] + local, plus a frontier bitmap. Right when the
-//     frontier approaches |V_core| (high ε, early rounds, large batches):
-//     no hashing, no probing, cache-linear updates, and the inner loop
-//     vectorizes (common/simd.hpp).
+//   * dense (the default) — flat double arrays indexed by
+//     shard_base[shard] + local, a frontier bitmap, and a touched bitmap
+//     marking every slot a push ever wrote. No hashing, no probing, and
+//     the inner loop vectorizes (common/simd.hpp). reset() and the entry
+//     scans walk the touched slots: O(touched + |V|/64), not O(|V|).
+//   * sparse — the paper's sharded parallel hash maps keyed by packed
+//     <local id, shard id> NodeRefs, kept as the hash-map ablation, as the
+//     reference the equality matrices compare against, and for graphs too
+//     large for per-state arrays.
 //
-// The adaptive kernel (default) measures frontier density at every pop()
-// and promotes/demotes between the two with an exact, loss-free copy, so
-// results are bit-identical under ANY switch schedule: both modes apply
-// the same IEEE operations in the same (i, k) scan order, activation
-// append order is preserved, and promotion/demotion moves values without
-// arithmetic. The dense representation needs the cluster's shard sizes —
-// bind_topology() / SspprOptions::shard_core_counts; without a topology
-// the adaptive kernel simply stays sparse.
+// The arrays need the cluster's shard sizes. Every SSPPR driver binds
+// them (bind_topology) from the storage it runs on before the first pop,
+// and a dense state moves into the arrays there, seed included, and stays
+// in them across reset(). A state no driver binds keeps the maps. Both
+// representations apply the same IEEE operations in the same (i, k) scan
+// order and append activations in the same order, and the move into the
+// arrays copies values without arithmetic, so results are bit-identical
+// across kernels (DESIGN.md §14).
 //
 // Batched pushes above a size threshold run multi-threaded with the
 // lock-free submap-partitioning scheme (each OpenMP thread exclusively
-// owns keys with submap_index(key) % num_threads == tid). The dense mode
+// owns keys with submap_index(key) % num_threads == tid). The dense kernel
 // uses the same ownership function, so per-thread activation lists — and
-// therefore the merged activation order — match the sparse mode exactly.
+// therefore the merged activation order — match the sparse kernel exactly.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +43,10 @@
 
 namespace ppr {
 
-/// Representation policy for the push loop.
+/// Representation of a state's π and r (fixed for the state's life).
 enum class SspprKernel : std::uint8_t {
-  kSparse = 0,    // always the sharded hash maps (the classic path)
-  kDense = 1,     // always the flat arrays (requires a bound topology)
-  kAdaptive = 2,  // per-round choice from measured frontier density
+  kSparse = 0,  // the sharded hash maps, bound or not (the paper's kernel)
+  kDense = 1,   // flat arrays once a topology is bound
 };
 
 const char* kernel_name(SspprKernel k);
@@ -58,24 +59,9 @@ struct SspprOptions {
   /// source nodes (the paper's "simple strategy" for the OpenMP switch).
   std::size_t parallel_threshold = 64;
   int submap_bits = 6;       // 2^bits submaps per hash map
-  /// Push-loop representation policy (see SspprKernel).
-  SspprKernel kernel = SspprKernel::kAdaptive;
-  /// Adaptive switch point: promote to dense when frontier density
-  /// (|activated| / Σ shard_core_counts) reaches this; demote back to
-  /// sparse below dense_threshold * kDemoteHysteresis. The default sits
-  /// below the measured sparse/dense crossover (bench_kernel_density) so
-  /// the dense kernel captures most of its win while promote/demote churn
-  /// on near-empty frontiers stays impossible.
-  double dense_threshold = 0.005;
-  /// Core-node count per shard (the dense layout). Usually filled by the
-  /// engine from the cluster mapping; empty = no topology bound, dense
-  /// unavailable.
-  std::vector<NodeId> shard_core_counts{};
+  /// Push-loop representation (see SspprKernel).
+  SspprKernel kernel = SspprKernel::kDense;
 };
-
-/// Hysteresis factor between the promote and demote thresholds, so a
-/// density hovering at the switch point doesn't thrash representations.
-inline constexpr double kDemoteHysteresis = 0.25;
 
 /// Per-node residual entry. in_frontier doubles as activated-set
 /// membership so frontier insertion is one submap access.
@@ -92,26 +78,27 @@ class SspprState {
 
   /// Recycle this state for a fresh query from `source`: clears π, r, and
   /// the activated set but keeps every submap's allocated capacity and the
-  /// dense arrays, so a pooled state serves many queries without
-  /// reallocating (the batched throughput harness relies on this).
+  /// dense arrays (zeroing only their touched slots), so a pooled state
+  /// serves many queries without reallocating.
   void reset(NodeRef source);
 
   NodeRef source() const { return source_; }
   const SspprOptions& options() const { return options_; }
 
-  /// Bind the cluster's per-shard core-node counts, sizing the dense
-  /// layout. Idempotent for an identical topology; rebinding a different
-  /// one is only legal while the state is sparse.
+  /// Bind the cluster's core-node count per shard (indexed by shard id).
+  /// A kDense state moves into the flat arrays here — π, r and frontier as
+  /// they stand, values copied bitwise — and stays there for the rest of
+  /// its life; a kSparse state keeps the maps. Idempotent for the same
+  /// topology; rebinding a dense state to a different one is rejected.
+  /// Legal between push calls, never during one.
   void bind_topology(std::span<const NodeId> shard_core_counts);
-  /// True when a topology is bound (the dense representation is usable).
-  bool dense_capable() const { return universe_ != 0; }
-  /// Σ shard_core_counts: the dense universe size.
-  std::size_t dense_universe() const { return universe_; }
+
+  /// True once the flat arrays hold the state.
+  bool dense_active() const { return dense_; }
+  const char* kernel_mode_name() const { return dense_ ? "dense" : "sparse"; }
 
   /// PPR Op 1 — pop: return the current activated vertex set and clear it.
   /// Every returned node MUST be fed to push() before the next pop.
-  /// This is the adaptive kernel's decision point: frontier density is
-  /// measured here and the representation switched for the coming round.
   void pop(std::vector<NodeId>& node_ids, std::vector<ShardId>& shard_ids);
 
   /// PPR Op 2 — push: apply one forward-push step to each source node
@@ -127,29 +114,14 @@ class SspprState {
   void push(const NeighborBatch& batch, std::span<const NodeId> node_ids,
             std::span<const ShardId> shard_ids);
 
-  /// Loss-free representation switches. Exact: every stored value moves
-  /// bitwise, no arithmetic. Only legal at a round boundary (between a
-  /// completed push group and the next pop). promote requires a bound
-  /// topology; both are no-ops when already in the target representation.
-  void promote_to_dense();
-  void demote_to_sparse();
-
-  /// True while the dense representation holds the state.
-  bool dense_active() const { return dense_; }
-  const char* kernel_mode_name() const { return dense_ ? "dense" : "sparse"; }
-  /// Frontier density measured by the most recent pop() (0 when no
-  /// topology is bound).
-  double last_round_density() const { return last_density_; }
-  std::size_t promotions() const { return promotions_; }
-  std::size_t demotions() const { return demotions_; }
-
   bool frontier_empty() const { return activated_.empty(); }
   std::size_t frontier_size() const { return activated_.size(); }
 
   /// Total push operations applied (for the work-count ablations).
   std::size_t num_pushes() const { return num_pushes_; }
 
-  /// Non-zero PPR estimates accumulated so far.
+  /// Non-zero PPR estimates accumulated so far (ascending key order in
+  /// the dense representation, hash order in the sparse one).
   std::vector<std::pair<NodeRef, double>> ppr_entries() const;
   /// Residual mass per node (diagnostics / invariant tests).
   std::vector<std::pair<NodeRef, double>> residual_entries() const;
@@ -161,8 +133,7 @@ class SspprState {
   /// π-mass + r-mass; equals 1 up to float error at any point of the
   /// algorithm (mass-conservation invariant of forward push). Summed in
   /// canonical ascending-key order (π before r per node) in BOTH
-  /// representations, so the value is bit-identical across kernel modes
-  /// and switch schedules.
+  /// representations, so the value is bit-identical across kernels.
   double total_mass() const;
 
   /// Pool recycling the per-push round scratch (rv + the dense kernel's
@@ -178,28 +149,25 @@ class SspprState {
   void push_rows(RowFn&& row, std::span<const NodeId> node_ids,
                  std::span<const ShardId> shard_ids);
 
+  bool in_topology(ShardId shard, NodeId local) const {
+    return static_cast<std::uint32_t>(shard) < shard_counts_.size() &&
+           static_cast<std::uint32_t>(local) <
+               static_cast<std::uint32_t>(
+                   shard_counts_[static_cast<std::size_t>(shard)]);
+  }
   /// Flat index of a core node in the dense arrays.
   std::size_t slot_for(ShardId shard, NodeId local) const {
-    GE_CHECK(static_cast<std::uint32_t>(shard) < shard_counts_.size() &&
-                 static_cast<std::uint32_t>(local) <
-                     static_cast<std::uint32_t>(
-                         shard_counts_[static_cast<std::size_t>(shard)]),
-             "node outside the bound dense topology");
+    GE_CHECK(in_topology(shard, local), "node outside the bound dense topology");
     return shard_base_[static_cast<std::size_t>(shard)] +
            static_cast<std::size_t>(local);
   }
-  std::size_t slot_for_key(std::uint64_t key) const {
-    const NodeRef ref = NodeRef::from_key(key);
-    return slot_for(ref.shard, ref.local);
-  }
 
-  bool frontier_bit(std::size_t slot) const {
-    return (frontier_bits_[slot >> 6] >> (slot & 63)) & 1u;
-  }
+  /// Calls fn(slot, ref) for every touched slot in ascending slot order,
+  /// which is ascending key order.
+  template <typename Fn>
+  void for_each_touched(Fn&& fn) const;
 
   void seed(NodeRef source);
-  void ensure_dense_storage();
-  void record_pop_metrics() const;
 
   NodeRef source_;
   SspprOptions options_;
@@ -208,19 +176,17 @@ class SspprState {
   std::vector<std::uint64_t> activated_;
   std::size_t num_pushes_ = 0;
 
-  // Dense representation (allocated lazily at first promotion, then kept
-  // for the state's lifetime). Invariant: all-zero whenever dense_ is
-  // false, so promotion is a plain copy-in.
+  // Dense representation, allocated by bind_topology and kept for the
+  // state's lifetime. Invariant: every slot holding a non-zero π or r or
+  // a frontier bit has its touched bit set, so clearing the touched slots
+  // zeroes the whole state.
   bool dense_ = false;
   std::vector<NodeId> shard_counts_;
-  std::vector<std::size_t> shard_base_;  // prefix sums; back() == universe_
-  std::size_t universe_ = 0;
+  std::vector<std::size_t> shard_base_;  // prefix sums; back() == |V_core|
   std::vector<double> dense_pi_;
   std::vector<double> dense_r_;
   std::vector<std::uint64_t> frontier_bits_;
-  double last_density_ = 0.0;
-  std::size_t promotions_ = 0;
-  std::size_t demotions_ = 0;
+  std::vector<std::uint64_t> touched_bits_;
 
   // Per-thread activation lists for the multi-threaded push, merged in
   // thread-id order after the parallel region so the activation order is

@@ -335,6 +335,8 @@ class VersionTracker {
   VersionTracker& operator=(const VersionTracker&) = delete;
 
   int num_shards() const { return static_cast<int>(num_rows_.size()); }
+  /// Core rows per shard, indexed by shard id: the cluster's layout.
+  std::span<const NodeId> core_rows() const { return num_rows_; }
 
   std::uint64_t published() const {
     return published_.load(std::memory_order_acquire);

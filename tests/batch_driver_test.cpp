@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/ssppr_batch.hpp"
+#include "engine/state_pool.hpp"
 #include "engine/throughput.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -40,6 +41,22 @@ void expect_identical(const Entries& got, const Entries& want,
     ASSERT_EQ(got[i].first.key(), want[i].first.key()) << what << " @" << i;
     ASSERT_EQ(got[i].second, want[i].second) << what << " @" << i;
   }
+}
+
+/// π, r, push count and total mass, bit for bit.
+void expect_same_answer(const SspprState& got, const SspprState& want,
+                        const std::string& what) {
+  expect_identical(sorted_ppr(got), sorted_ppr(want), what + " ppr");
+  expect_identical(sorted_residuals(got), sorted_residuals(want),
+                   what + " residual");
+  EXPECT_EQ(got.num_pushes(), want.num_pushes()) << what;
+  EXPECT_EQ(got.total_mass(), want.total_mass()) << what;
+}
+
+/// Pops recorded so far in one `ssppr.kernel_mode` series.
+std::uint64_t pops_in_mode(const std::string& mode) {
+  return obs::MetricRegistry::global().snapshot().counter(
+      "ssppr.kernel_mode{mode=" + mode + "}");
 }
 
 class BatchDriverFixture : public ::testing::Test {
@@ -78,7 +95,8 @@ class BatchDriverFixture : public ::testing::Test {
 };
 
 TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
-  const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
+  const SspprOptions sparse{
+      .alpha = kAlpha, .epsilon = 1e-6, .kernel = SspprKernel::kSparse};
   constexpr std::size_t kQueries = 6;
   constexpr int kMachine = 1;
   struct Config {
@@ -87,7 +105,7 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
     bool compress;
     bool overlap;
     WireCodec codec = WireCodec::kFlat;
-    SspprKernel kernel = SspprKernel::kSparse;
+    SspprKernel kernel = SspprOptions{}.kernel;
   };
   std::vector<Config> configs;
   for (const std::size_t cache_rows : {std::size_t{0}, std::size_t{256}}) {
@@ -104,15 +122,13 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
   // composed with both caches.
   configs.push_back({false, 0, true, true, WireCodec::kDeltaVarint});
   configs.push_back({true, 256, true, true, WireCodec::kDeltaVarint});
-  // The push-kernel representation must be invisible too: adaptive (with
-  // a threshold low enough to flip mid-query) and always-dense rows,
+  // The push-kernel representation must be invisible too: the rows above
+  // run the default (dense) kernel, these the hash-map one, alone and
   // composed with the varint codec and both caches.
   configs.push_back({false, 0, true, true, WireCodec::kFlat,
-                     SspprKernel::kAdaptive});
+                     SspprKernel::kSparse});
   configs.push_back({true, 256, true, true, WireCodec::kDeltaVarint,
-                     SspprKernel::kAdaptive});
-  configs.push_back({false, 0, true, true, WireCodec::kDeltaVarint,
-                     SspprKernel::kDense});
+                     SspprKernel::kSparse});
 
   for (const Config& cfg : configs) {
     SCOPED_TRACE(::testing::Message()
@@ -123,25 +139,16 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
     auto cluster = make_cluster(cfg.halo, cfg.cache_rows);
     const DriverOptions driver{true, cfg.compress, cfg.overlap, cfg.codec};
     const auto sources = pick_sources(*cluster, kMachine, kQueries);
-    SspprOptions query_opts = ppr;
+    SspprOptions query_opts = sparse;
     query_opts.kernel = cfg.kernel;
-    query_opts.dense_threshold = 0.005;  // flip adaptive states mid-query
-    if (cfg.kernel != SspprKernel::kSparse) {
-      for (int m = 0; m < cluster->num_machines(); ++m) {
-        query_opts.shard_core_counts.push_back(
-            static_cast<NodeId>(cluster->shard(m).num_core_nodes()));
-      }
-    }
 
-    // Reference: each query alone with the sparse-only kernel — the
-    // representation policy must be invisible to results (and
-    // compute_ssppr never consults the adjacency cache, so the reference
-    // is cache-independent too).
+    // Reference: each query alone with the sparse kernel — the
+    // representation must be invisible to results.
     std::vector<Entries> want_ppr, want_res;
     std::vector<std::size_t> want_pushes;
     for (const NodeRef src : sources) {
       const SspprState ref =
-          compute_ssppr(cluster->storage(kMachine), src, ppr, driver);
+          compute_ssppr(cluster->storage(kMachine), src, sparse, driver);
       want_ppr.push_back(sorted_ppr(ref));
       want_res.push_back(sorted_residuals(ref));
       want_pushes.push_back(ref.num_pushes());
@@ -160,6 +167,7 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
       std::size_t total_pushes = 0;
       for (std::size_t q = 0; q < kQueries; ++q) {
         SCOPED_TRACE(::testing::Message() << pass << " query " << q);
+        EXPECT_EQ(states[q].dense_active(), cfg.kernel == SspprKernel::kDense);
         expect_identical(sorted_ppr(states[q]), want_ppr[q], "ppr");
         expect_identical(sorted_residuals(states[q]), want_res[q],
                          "residual");
@@ -334,17 +342,10 @@ TEST_F(BatchDriverFixture, AdjacencyCacheServesRepeatRuns) {
 
 TEST_F(BatchDriverFixture, RoundScratchAllocationFreeOnceWarmInBothKernels) {
   auto cluster = make_cluster(false, 0);
-  SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
-  for (int m = 0; m < cluster->num_machines(); ++m) {
-    ppr.shard_core_counts.push_back(
-        static_cast<NodeId>(cluster->shard(m).num_core_nodes()));
-  }
   const auto sources = pick_sources(*cluster, 1, 4);
 
-  const auto run_batch = [&](SspprKernel kernel, double threshold) {
-    SspprOptions o = ppr;
-    o.kernel = kernel;
-    o.dense_threshold = threshold;
+  const auto run_batch = [&](SspprKernel kernel) {
+    const SspprOptions o{.alpha = kAlpha, .epsilon = 1e-6, .kernel = kernel};
     std::vector<SspprState> states;
     states.reserve(sources.size());
     for (const NodeRef src : sources) states.emplace_back(src, o);
@@ -354,18 +355,16 @@ TEST_F(BatchDriverFixture, RoundScratchAllocationFreeOnceWarmInBothKernels) {
   // Warm the pool across both representations (the dense kernel acquires
   // an extra SIMD precompute row per push), then require that more
   // batches of either kind perform zero round-scratch allocations.
-  run_batch(SspprKernel::kSparse, 0.02);
-  run_batch(SspprKernel::kDense, 0.02);
-  run_batch(SspprKernel::kAdaptive, 0.005);
+  run_batch(SspprKernel::kSparse);
+  run_batch(SspprKernel::kDense);
   BufferPoolStats& stats = SspprState::scratch_pool().stats();
   const std::uint64_t warm_allocations = stats.allocations();
   const std::uint64_t warm_acquired =
       stats.acquired.load(std::memory_order_relaxed);
   EXPECT_GT(warm_acquired, 0u) << "the push loop must use the scratch pool";
 
-  run_batch(SspprKernel::kSparse, 0.02);
-  run_batch(SspprKernel::kDense, 0.02);
-  run_batch(SspprKernel::kAdaptive, 0.005);
+  run_batch(SspprKernel::kSparse);
+  run_batch(SspprKernel::kDense);
   EXPECT_EQ(stats.allocations(), warm_allocations)
       << "steady-state rounds must not allocate round scratch";
   EXPECT_GT(stats.acquired.load(std::memory_order_relaxed), warm_acquired);
@@ -390,6 +389,159 @@ TEST_F(BatchDriverFixture, ThroughputHarnessBatchedMatchesUnbatched) {
   // Deterministic engine: the same queries do the same pushes whether or
   // not their fetches were coalesced.
   EXPECT_EQ(batched.total_pushes, solo.total_pushes);
+}
+
+// States built from default options push on the dense arrays from their
+// first pop under every driver — the batch driver at several batch sizes
+// and query-thread counts, run_ssppr batched and Single — with the halo and
+// the adjacency cache each on and off, and answer bit for bit as the
+// sparse kernel does under the same driver.
+TEST_F(BatchDriverFixture, DefaultStatesPopOnlyDenseAndMatchSparse) {
+  const SspprOptions dense{.alpha = kAlpha, .epsilon = 1e-6};
+  const SspprOptions sparse{
+      .alpha = kAlpha, .epsilon = 1e-6, .kernel = SspprKernel::kSparse};
+  constexpr int kMachine = 2;
+  for (const bool halo : {false, true}) {
+    for (const std::size_t cache_rows : {std::size_t{0}, std::size_t{256}}) {
+      auto cluster = make_cluster(halo, cache_rows);
+      const DistGraphStorage& storage = cluster->storage(kMachine);
+      const auto check = [&](std::size_t batch, const DriverOptions& driver,
+                             bool batch_driver) {
+        SCOPED_TRACE(::testing::Message()
+                     << "halo=" << halo << " cache=" << cache_rows
+                     << " batch=" << batch
+                     << " query_threads=" << driver.query_threads
+                     << " driver="
+                     << (batch_driver ? "run_ssppr_batch"
+                                      : (driver.batch ? "run_ssppr"
+                                                      : "single")));
+        const auto sources = pick_sources(*cluster, kMachine, batch);
+        const auto run = [&](const SspprOptions& o) {
+          std::vector<SspprState> states;
+          states.reserve(batch);
+          for (const NodeRef src : sources) states.emplace_back(src, o);
+          if (batch_driver) {
+            run_ssppr_batch(storage, states, driver);
+          } else {
+            for (SspprState& state : states) run_ssppr(storage, state, driver);
+          }
+          return states;
+        };
+        const std::uint64_t sparse_pops = pops_in_mode("sparse");
+        const std::uint64_t dense_pops = pops_in_mode("dense");
+        const std::vector<SspprState> got = run(dense);
+        EXPECT_EQ(pops_in_mode("sparse"), sparse_pops)
+            << "a default state popped in the hash maps";
+        EXPECT_GT(pops_in_mode("dense"), dense_pops);
+        const std::vector<SspprState> want = run(sparse);
+        for (std::size_t q = 0; q < batch; ++q) {
+          EXPECT_TRUE(got[q].dense_active());
+          EXPECT_FALSE(want[q].dense_active());
+          expect_same_answer(got[q], want[q], "query " + std::to_string(q));
+        }
+      };
+      for (const std::size_t batch : {1, 4, 16}) {
+        for (const int threads : {1, 4}) {
+          DriverOptions driver;
+          driver.query_threads = threads;
+          check(batch, driver, /*batch_driver=*/true);
+        }
+      }
+      check(4, DriverOptions{}, /*batch_driver=*/false);
+      check(4, DriverOptions::single(), /*batch_driver=*/false);
+    }
+  }
+}
+
+// The same equality at a pin after a mutation batch and a compaction, and
+// at a later pin with a delta segment above the compacted base.
+TEST_F(BatchDriverFixture, DenseMatchesSparseAtPinsAfterMutationAndCompaction) {
+  auto cluster = make_cluster(true, 256);
+  const auto batches = mutation_stream(graph_, /*num_batches=*/2,
+                                       /*ops_per_batch=*/40,
+                                       /*insert_fraction=*/0.65, /*seed=*/17);
+  const std::uint64_t compacted = cluster->apply_edge_mutations(batches[0]);
+  cluster->compact_all();
+  const std::uint64_t latest = cluster->apply_edge_mutations(batches[1]);
+  constexpr int kMachine = 1;
+  const auto sources = pick_sources(*cluster, kMachine, 8);
+  for (const std::uint64_t pin : {compacted, latest}) {
+    SCOPED_TRACE(::testing::Message() << "pin=" << pin);
+    DriverOptions driver;
+    driver.graph_version = pin;
+    const auto run = [&](SspprKernel kernel) {
+      const SspprOptions o{
+          .alpha = kAlpha, .epsilon = 1e-6, .kernel = kernel};
+      std::vector<SspprState> states;
+      states.reserve(sources.size());
+      for (const NodeRef src : sources) states.emplace_back(src, o);
+      run_ssppr_batch(cluster->storage(kMachine), states, driver);
+      return states;
+    };
+    const std::vector<SspprState> got = run(SspprKernel::kDense);
+    const std::vector<SspprState> want = run(SspprKernel::kSparse);
+    for (std::size_t q = 0; q < sources.size(); ++q) {
+      EXPECT_TRUE(got[q].dense_active());
+      expect_same_answer(got[q], want[q], "query " + std::to_string(q));
+    }
+  }
+}
+
+// A pooled state on a universe of 2^20 slots answers a query, is reset
+// mid-query with a non-empty frontier, and answers another: both answers
+// equal fresh states' exactly, so zeroing only the touched slots leaves
+// nothing behind.
+TEST(PooledDenseState, ResetMidQueryOnAMillionSlotUniverse) {
+  const Graph g = generate_grid(1024, 1024);
+  ClusterOptions copts;
+  copts.num_machines = 2;
+  copts.network = no_network_cost();
+  Cluster cluster(g, partition_blocked(g, 2), copts);
+  const DistGraphStorage& storage = cluster.storage(0);
+  std::size_t universe = 0;
+  for (const NodeId c : storage.version_tracker().core_rows()) {
+    universe += static_cast<std::size_t>(c);
+  }
+  ASSERT_GE(universe, std::size_t{1} << 20);
+
+  const SspprOptions o{.alpha = kAlpha, .epsilon = 1e-6};
+  const auto fresh = [&](NodeRef source) {
+    std::vector<SspprState> state;
+    state.emplace_back(source, o);
+    run_ssppr_batch(storage, state, DriverOptions{});
+    return std::move(state[0]);
+  };
+  SspprStatePool pool(o);
+  const NodeRef first[] = {NodeRef{1000, 0}};
+  const NodeRef abandoned[] = {NodeRef{200000, 0}};
+  const NodeRef second{300000, 0};
+  {
+    SspprStatePool::Lease lease = pool.acquire(first);
+    run_ssppr_batch(storage, lease.states(), DriverOptions{});
+    EXPECT_TRUE(lease.states()[0].dense_active());
+    expect_same_answer(lease.states()[0], fresh(first[0]), "first");
+  }
+  SspprStatePool::Lease lease = pool.acquire(abandoned);
+  SspprState& state = lease.states()[0];
+  // Two rounds of the abandoned query, by hand: its sources are far from
+  // the shard boundary, so every row is local.
+  const auto snap = storage.local_store().snapshot(0);
+  std::vector<NodeId> nodes;
+  std::vector<ShardId> shards;
+  for (int round = 0; round < 2; ++round) {
+    state.pop(nodes, shards);
+    ASSERT_FALSE(nodes.empty());
+    ASSERT_EQ(std::count(shards.begin(), shards.end(), ShardId{0}),
+              static_cast<std::ptrdiff_t>(shards.size()));
+    state.push(snap->get_neighbor_infos(nodes), nodes, shards);
+  }
+  ASSERT_FALSE(state.frontier_empty());
+  state.reset(second);
+  EXPECT_EQ(state.total_mass(), 1.0);
+  run_ssppr_batch(storage, lease.states(), DriverOptions{});
+  EXPECT_TRUE(state.dense_active());
+  expect_same_answer(state, fresh(second), "second");
+  EXPECT_EQ(pool.states_created(), 1u) << "the pooled state was reused";
 }
 
 }  // namespace

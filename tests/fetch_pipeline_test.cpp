@@ -260,11 +260,10 @@ TEST(FetchPipelineReply, ShortReplyIsRejected) {
       kStorageServiceName,
       [&](const std::string&, std::span<const std::uint8_t>) {
         const NodeId first[] = {0};
-        ByteWriter rows;
-        sg.shards[1]->encode_neighbor_infos_csr(first, rows);
-        std::vector<std::uint8_t> reply(1 + rows.size(), kStorageReplyOk);
-        std::copy(rows.bytes().begin(), rows.bytes().end(), reply.begin() + 1);
-        return reply;
+        ByteWriter reply;
+        reply.write<std::uint8_t>(kStorageReplyOk);
+        sg.shards[1]->encode_neighbor_infos_csr(first, reply);
+        return reply.take();
       });
 
   FetchPipeline pipeline(*storage);

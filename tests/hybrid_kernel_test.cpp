@@ -1,6 +1,7 @@
-// Equality matrix for the adaptive dense/sparse hybrid push kernel: every
-// representation policy, thread count, wire codec, and switch schedule must
-// produce bit-identical results to the classic sparse-only kernel.
+// Equality matrix for the dense and sparse push kernels: every
+// representation, thread count, wire codec and SIMD level must produce
+// bit-identical results to the classic sparse (hash-map) kernel, and a
+// state must move into the dense arrays without changing a bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,17 +75,13 @@ class HybridKernelFixture : public ::testing::Test {
     }
   }
 
-  SspprOptions opts(SspprKernel kernel, int threads = 1,
-                    double dense_threshold = 0.02,
-                    bool bind_topology = true) const {
+  SspprOptions opts(SspprKernel kernel, int threads = 1) const {
     SspprOptions o;
     o.alpha = kAlpha;
     o.epsilon = 1e-6;
     o.num_threads = threads;
     o.parallel_threshold = 2;  // small graph: force the MT path when >1
     o.kernel = kernel;
-    o.dense_threshold = dense_threshold;
-    if (bind_topology) o.shard_core_counts = topology_;
     return o;
   }
 
@@ -96,6 +93,32 @@ class HybridKernelFixture : public ::testing::Test {
     return compute_ssppr(cluster_->storage(source.shard), source, o, driver);
   }
 
+  /// Run up to `rounds` rounds by hand, one push call per popped node, the
+  /// way a driver that never binds a topology would.
+  void drive_by_hand(SspprState& state, int rounds) const {
+    const ShardId self = state.source().shard;
+    const DistGraphStorage& storage = cluster_->storage(self);
+    std::vector<NodeId> nodes;
+    std::vector<ShardId> shards;
+    for (int round = 0; round < rounds && !state.frontier_empty(); ++round) {
+      state.pop(nodes, shards);
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const NodeId one_node[] = {nodes[i]};
+        const ShardId one_shard[] = {shards[i]};
+        if (shards[i] == self) {
+          state.push(storage.local_store().snapshot(0)->get_neighbor_infos(
+                         one_node),
+                     one_node, one_shard);
+        } else {
+          state.push(
+              storage.get_neighbor_info_single_async(shards[i], nodes[i])
+                  .wait(),
+              one_node, one_shard);
+        }
+      }
+    }
+  }
+
   Graph graph_;
   PartitionAssignment assignment_;
   std::unique_ptr<Cluster> cluster_;
@@ -105,239 +128,109 @@ class HybridKernelFixture : public ::testing::Test {
 TEST_F(HybridKernelFixture, KernelNames) {
   EXPECT_STREQ(kernel_name(SspprKernel::kSparse), "sparse");
   EXPECT_STREQ(kernel_name(SspprKernel::kDense), "dense");
-  EXPECT_STREQ(kernel_name(SspprKernel::kAdaptive), "adaptive");
 }
 
-/// The headline contract: {sparse, dense, adaptive} × {flat, varint
-/// codec} × switch thresholds (never / mid-query / always) all produce
-/// byte-for-byte the same π, r, push count, and total mass as the
-/// sparse-only kernel AT THE SAME THREAD COUNT. (Different thread counts
-/// partition the frontier differently and are only ε-equivalent — that
-/// cross-thread property is ParallelPushMatchesSingleThread's job.)
+/// The headline contract: {sparse, dense} × {flat, varint codec} × {SIMD,
+/// forced scalar} all produce byte-for-byte the same π, r, push count, and
+/// total mass as the sparse kernel at the same thread count. (Different
+/// thread counts partition the frontier differently and are only
+/// ε-equivalent — that cross-thread property is
+/// ParallelPushMatchesSingleThread's job.)
 TEST_F(HybridKernelFixture, EqualityMatrixBitIdentical) {
+  ForcedScalarGuard guard;
   for (const int threads : {1, 4}) {
+    simd::set_forced_scalar(false);
     const SspprState baseline = run(opts(SspprKernel::kSparse, threads));
-
-    struct Case {
-      SspprKernel kernel;
-      WireCodec codec;
-      double threshold;
-    };
-    std::vector<Case> cases;
-    for (const WireCodec codec :
-         {WireCodec::kFlat, WireCodec::kDeltaVarint}) {
-      cases.push_back({SspprKernel::kSparse, codec, 0.02});
-      // 0.9: adaptive never promotes. 0.02: flips mid-query. 1e-4:
-      // promotes on round one and demotes only when nearly drained.
-      for (const double threshold : {0.9, 0.02, 1e-4}) {
-        cases.push_back({SspprKernel::kDense, codec, threshold});
-        cases.push_back({SspprKernel::kAdaptive, codec, threshold});
+    EXPECT_FALSE(baseline.dense_active());
+    for (const bool scalar : {false, true}) {
+      simd::set_forced_scalar(scalar);
+      for (const WireCodec codec :
+           {WireCodec::kFlat, WireCodec::kDeltaVarint}) {
+        for (const SspprKernel kernel :
+             {SspprKernel::kSparse, SspprKernel::kDense}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "kernel=" << kernel_name(kernel)
+                       << " threads=" << threads
+                       << " codec=" << wire_codec_name(codec)
+                       << " scalar=" << scalar);
+          const SspprState got = run(opts(kernel, threads), 123, codec);
+          EXPECT_EQ(got.dense_active(), kernel == SspprKernel::kDense);
+          expect_states_identical(got, baseline, "matrix");
+        }
       }
-    }
-
-    for (const Case& c : cases) {
-      SCOPED_TRACE(::testing::Message()
-                   << "kernel=" << kernel_name(c.kernel)
-                   << " threads=" << threads
-                   << " codec=" << wire_codec_name(c.codec)
-                   << " threshold=" << c.threshold);
-      const SspprState got =
-          run(opts(c.kernel, threads, c.threshold), 123, c.codec);
-      expect_states_identical(got, baseline, "matrix");
     }
   }
 }
 
-TEST_F(HybridKernelFixture, AdaptiveActuallySwitchesMidQuery) {
-  // A tiny threshold promotes on the first non-empty round; its demote
-  // point (threshold/4 of the universe) is below one node, so the state
-  // rides dense to the end.
-  const SspprState state = run(opts(SspprKernel::kAdaptive, 1, 1e-4));
-  EXPECT_EQ(state.promotions(), 1u);
-  EXPECT_EQ(state.demotions(), 0u);
-  EXPECT_TRUE(state.dense_active());
-  // A 5% threshold flips both ways on this workload: the frontier swells
-  // past 5% of the universe mid-query and drains below 1.25% (the
-  // hysteresis point) before emptying.
-  const SspprState flips = run(opts(SspprKernel::kAdaptive, 1, 0.05));
-  EXPECT_GE(flips.promotions(), 1u);
-  EXPECT_GE(flips.demotions(), 1u);
-  // A threshold above any reachable density never promotes.
-  const SspprState never = run(opts(SspprKernel::kAdaptive, 1, 0.9));
-  EXPECT_EQ(never.promotions(), 0u);
-  EXPECT_EQ(never.demotions(), 0u);
-}
-
-TEST_F(HybridKernelFixture, AdaptiveWithoutTopologyStaysSparse) {
-  const SspprOptions o =
-      opts(SspprKernel::kAdaptive, 1, 1e-4, /*bind_topology=*/false);
-  const SspprState state = run(o);
-  EXPECT_EQ(state.promotions(), 0u);
+/// A seeded state no driver has bound keeps the maps; binding moves its
+/// seed into the arrays, and the driven query gives the sparse answer.
+TEST_F(HybridKernelFixture, BindingASeededStateMovesItIntoTheArrays) {
+  const NodeRef source = cluster_->locate(123);
+  SspprState state(source, opts(SspprKernel::kDense));
   EXPECT_FALSE(state.dense_active());
+  state.bind_topology(topology_);
+  EXPECT_TRUE(state.dense_active());
+  EXPECT_STREQ(state.kernel_mode_name(), "dense");
+  EXPECT_EQ(state.frontier_size(), 1u);
+  expect_identical(state.residual_entries(), {{source, 1.0}}, "seed");
+  EXPECT_TRUE(state.ppr_entries().empty());
+  EXPECT_EQ(state.total_mass(), 1.0);
+
+  run_ssppr(cluster_->storage(source.shard), state, DriverOptions{});
+  EXPECT_TRUE(state.dense_active());
   expect_states_identical(state, run(opts(SspprKernel::kSparse)),
-                          "no-topology adaptive");
+                          "bound seed");
 }
 
-TEST_F(HybridKernelFixture, DenseKernelRequiresTopology) {
-  const SspprOptions o =
-      opts(SspprKernel::kDense, 1, 0.02, /*bind_topology=*/false);
-  try {
-    SspprState state(NodeRef{0, 0}, o);
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "dense kernel requires a bound shard topology"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST_F(HybridKernelFixture, PromoteDemoteRoundTripIsLossFree) {
-  // Drive a few rounds sparse, then switch back and forth: every stored
-  // value must move bitwise, with no arithmetic applied.
-  SspprState state(cluster_->locate(123), opts(SspprKernel::kSparse));
-  std::vector<NodeId> nodes;
-  std::vector<ShardId> shards;
-  const ShardId self = state.source().shard;
-  const DistGraphStorage& storage = cluster_->storage(self);
-  for (int round = 0; round < 3 && !state.frontier_empty(); ++round) {
-    state.pop(nodes, shards);
-    // Feed every popped node through the single-query driver's local path.
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const NodeId one_node[] = {nodes[i]};
-      const ShardId one_shard[] = {shards[i]};
-      if (shards[i] == self) {
-        state.push(storage.local_store().snapshot(0)->get_neighbor_infos(
-                       one_node),
-                   one_node, one_shard);
-      } else {
-        state.push(
-            storage.get_neighbor_info_single_async(shards[i], nodes[i])
-                .wait(),
-            one_node, one_shard);
-      }
-    }
-  }
+/// Binding mid-query moves every stored value bitwise: a state driven a
+/// few rounds in the maps, then bound, holds the same π, r, mass and
+/// frontier, and finishes bit-identical to a sparse state on the same
+/// schedule.
+TEST_F(HybridKernelFixture, BindMidQueryIsLossFree) {
+  const NodeRef source = cluster_->locate(123);
+  SspprState state(source, opts(SspprKernel::kDense));
+  SspprState sparse(source, opts(SspprKernel::kSparse));
+  drive_by_hand(state, 3);
+  drive_by_hand(sparse, 3);
+  ASSERT_FALSE(state.frontier_empty()) << "the query must still be running";
+  EXPECT_FALSE(state.dense_active());
   const Entries want_ppr = sorted_entries(state.ppr_entries());
   const Entries want_res = sorted_entries(state.residual_entries());
   const double want_mass = state.total_mass();
   const std::size_t want_frontier = state.frontier_size();
 
-  state.promote_to_dense();
+  state.bind_topology(topology_);
   EXPECT_TRUE(state.dense_active());
-  EXPECT_STREQ(state.kernel_mode_name(), "dense");
-  expect_identical(sorted_entries(state.ppr_entries()), want_ppr, "dense π");
-  expect_identical(sorted_entries(state.residual_entries()), want_res,
-                   "dense r");
+  // The dense scans already list entries in ascending key order.
+  expect_identical(state.ppr_entries(), want_ppr, "dense π");
+  expect_identical(state.residual_entries(), want_res, "dense r");
   EXPECT_EQ(state.total_mass(), want_mass);
   EXPECT_EQ(state.frontier_size(), want_frontier);
-  state.promote_to_dense();  // no-op when already dense
-  EXPECT_EQ(state.promotions(), 1u);
 
-  state.demote_to_sparse();
-  EXPECT_FALSE(state.dense_active());
-  EXPECT_STREQ(state.kernel_mode_name(), "sparse");
-  expect_identical(sorted_entries(state.ppr_entries()), want_ppr,
-                   "restored π");
-  expect_identical(sorted_entries(state.residual_entries()), want_res,
-                   "restored r");
-  EXPECT_EQ(state.total_mass(), want_mass);
-  EXPECT_EQ(state.frontier_size(), want_frontier);
-  state.demote_to_sparse();  // no-op when already sparse
-  EXPECT_EQ(state.demotions(), 1u);
-}
-
-/// Torture the switch machinery: force a representation flip at EVERY
-/// round boundary and require bit-identity with a never-switching run of
-/// the exact same driving loop (same thread count, same push grouping).
-TEST_F(HybridKernelFixture, ArbitrarySwitchScheduleBitIdentical) {
-  // schedule(round) returns true to run the coming round dense.
-  const auto drive = [&](int threads, auto&& schedule) {
-    SspprState state(cluster_->locate(123),
-                     opts(SspprKernel::kSparse, threads));
-    const ShardId self = state.source().shard;
-    const DistGraphStorage& storage = cluster_->storage(self);
-    const int ns = storage.num_shards();
-    std::vector<NodeId> nodes;
-    std::vector<ShardId> shards;
-    int round = 0;
-    for (;;) {
-      if (schedule(round)) {
-        state.promote_to_dense();
-      } else {
-        state.demote_to_sparse();
-      }
-      state.pop(nodes, shards);
-      if (nodes.empty()) break;
-      // Group by shard (self first, then ascending) with one push call
-      // per group, replaying the batched driver's call structure.
-      std::vector<NeighborBatch> batches;
-      const auto push_shard = [&](ShardId target) {
-        std::vector<NodeId> loc;
-        std::vector<ShardId> shv;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          if (shards[i] != target) continue;
-          loc.push_back(nodes[i]);
-          shv.push_back(shards[i]);
-        }
-        if (loc.empty()) return;
-        if (target == self) {
-          state.push(
-              storage.local_store().snapshot(0)->get_neighbor_infos(loc),
-              loc, shv);
-          return;
-        }
-        batches.clear();
-        std::vector<VertexProp> infos;
-        for (const NodeId local : loc) {
-          batches.push_back(
-              storage.get_neighbor_info_single_async(target, local).wait());
-        }
-        for (const NeighborBatch& b : batches) infos.push_back(b[0]);
-        state.push(infos, loc, shv);
-      };
-      push_shard(self);
-      for (ShardId j = 0; j < ns; ++j) {
-        if (j != self) push_shard(j);
-      }
-      ++round;
-    }
-    return std::make_pair(std::move(state), round);
-  };
-
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    auto [sparse_only, sparse_rounds] =
-        drive(threads, [](int) { return false; });
-    auto [alternating, alt_rounds] =
-        drive(threads, [](int round) { return round % 2 == 0; });
-    auto [dense_only, dense_rounds] =
-        drive(threads, [](int) { return true; });
-    EXPECT_GT(sparse_rounds, 2) << "query must take several rounds";
-    EXPECT_EQ(alt_rounds, sparse_rounds);
-    EXPECT_EQ(dense_rounds, sparse_rounds);
-    EXPECT_GE(alternating.promotions(), 2u);
-    EXPECT_GE(alternating.demotions(), 2u);
-    expect_states_identical(alternating, sparse_only, "alternating");
-    expect_states_identical(dense_only, sparse_only, "dense-only");
-  }
+  const DistGraphStorage& storage = cluster_->storage(source.shard);
+  run_ssppr(storage, state, DriverOptions{});
+  run_ssppr(storage, sparse, DriverOptions{});
+  EXPECT_FALSE(sparse.dense_active());
+  expect_states_identical(state, sparse, "bound mid-query");
 }
 
 TEST_F(HybridKernelFixture, ResetFromDenseMatchesFresh) {
-  SspprOptions o = opts(SspprKernel::kAdaptive, 1, 1e-4);
+  const SspprOptions o = opts(SspprKernel::kDense);
   const NodeRef a = cluster_->locate(123);
   SspprState recycled(a, o);
   run_ssppr(cluster_->storage(a.shard), recycled, DriverOptions{});
-  EXPECT_GE(recycled.promotions(), 1u);
+  EXPECT_TRUE(recycled.dense_active());
 
-  // Recycle for a different source on the same shard; the dense arrays
-  // must come back all-zero so the second query is bit-identical to a
-  // fresh state's run.
+  // Recycle for a different source on the same shard: the state stays in
+  // the arrays, and zeroing only its touched slots must leave them as
+  // clean as a fresh state's.
   const NodeRef b{(a.local + 7) % topology_[static_cast<std::size_t>(
                                      a.shard)],
                   a.shard};
   recycled.reset(b);
-  EXPECT_FALSE(recycled.dense_active());
+  EXPECT_TRUE(recycled.dense_active());
+  EXPECT_EQ(recycled.frontier_size(), 1u);
+  EXPECT_EQ(recycled.total_mass(), 1.0);
   run_ssppr(cluster_->storage(a.shard), recycled, DriverOptions{});
   SspprState fresh(b, o);
   run_ssppr(cluster_->storage(a.shard), fresh, DriverOptions{});
@@ -345,50 +238,35 @@ TEST_F(HybridKernelFixture, ResetFromDenseMatchesFresh) {
 }
 
 TEST_F(HybridKernelFixture, BindTopologyRules) {
-  SspprState state(NodeRef{0, 0}, opts(SspprKernel::kSparse));
+  const NodeRef source = cluster_->locate(123);
+  SspprState state(source, opts(SspprKernel::kDense));
+  state.bind_topology(topology_);
+  ASSERT_TRUE(state.dense_active());
   // Rebinding the identical topology is a no-op.
   state.bind_topology(topology_);
-  EXPECT_TRUE(state.dense_capable());
-  std::size_t universe = 0;
-  for (const NodeId c : topology_) universe += static_cast<std::size_t>(c);
-  EXPECT_EQ(state.dense_universe(), universe);
+  EXPECT_TRUE(state.dense_active());
+  EXPECT_EQ(state.total_mass(), 1.0);
 
-  // A different topology while sparse: allowed.
+  // A different topology is rejected and leaves the state as it was.
   std::vector<NodeId> bigger = topology_;
   bigger.push_back(32);
-  state.bind_topology(bigger);
-  EXPECT_EQ(state.dense_universe(), universe + 32);
+  EXPECT_THROW(state.bind_topology(bigger), InvalidArgument);
+  expect_identical(state.residual_entries(), {{source, 1.0}}, "after reject");
 
-  // While dense: rejected.
-  state.promote_to_dense();
-  EXPECT_THROW(state.bind_topology(topology_), InvalidArgument);
-  state.demote_to_sparse();
-  state.bind_topology(topology_);
-  EXPECT_EQ(state.dense_universe(), universe);
-}
+  // The hash-map kernel stays in the maps, bound or not.
+  SspprState sparse(source, opts(SspprKernel::kSparse));
+  sparse.bind_topology(topology_);
+  EXPECT_FALSE(sparse.dense_active());
+  EXPECT_STREQ(sparse.kernel_mode_name(), "sparse");
 
-TEST_F(HybridKernelFixture, ForcedScalarDoesNotChangeResults) {
-  ForcedScalarGuard guard;
-  simd::set_forced_scalar(false);
-  const SspprState vec =
-      run(opts(SspprKernel::kAdaptive, 1, 1e-4), 123,
-          WireCodec::kDeltaVarint);
-  simd::set_forced_scalar(true);
-  const SspprState scalar =
-      run(opts(SspprKernel::kAdaptive, 1, 1e-4), 123,
-          WireCodec::kDeltaVarint);
-  EXPECT_GE(vec.promotions(), 1u);
-  expect_states_identical(scalar, vec, "scalar vs simd");
-}
-
-TEST_F(HybridKernelFixture, DensityMeasurementAndMetrics) {
-  SspprState state(cluster_->locate(123), opts(SspprKernel::kAdaptive));
-  std::vector<NodeId> nodes;
-  std::vector<ShardId> shards;
-  state.pop(nodes, shards);
-  ASSERT_EQ(nodes.size(), 1u);
-  EXPECT_EQ(state.last_round_density(),
-            1.0 / static_cast<double>(state.dense_universe()));
+  // Malformed layouts, and one that does not hold the state's nodes.
+  SspprState unbound(source, opts(SspprKernel::kDense));
+  EXPECT_THROW(unbound.bind_topology({}), InvalidArgument);
+  const std::vector<NodeId> negative = {-1, 5};
+  EXPECT_THROW(unbound.bind_topology(negative), InvalidArgument);
+  std::vector<NodeId> too_small = topology_;
+  too_small[static_cast<std::size_t>(source.shard)] = source.local;
+  EXPECT_THROW(unbound.bind_topology(too_small), InvalidArgument);
 }
 
 }  // namespace

@@ -42,13 +42,16 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       # of concurrency TSan exists for. Run its suites alone too.
       echo "=== ${SANITIZER}: ctest -L elastic (shard migration/failover) ==="
       ctest --test-dir "${BUILD}" -L elastic --output-on-failure
-      # The adaptive push kernel's dense bitmap is shared between push
-      # threads via atomic words; run the hybrid suite alone under TSan at
+      # Every driver-run query pushes on the dense arrays, whose frontier
+      # and touched bitmaps are shared between push threads via atomic
+      # words; run the hybrid and batch-driver suites alone under TSan at
       # both SIMD levels (this build has no OpenMP, so the MT path runs
       # serial — the bitmap atomics and scratch pool still race-check).
-      echo "=== ${SANITIZER}: hybrid_kernel_test (GE_FORCE_SCALAR off/on) ==="
-      "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
-      GE_FORCE_SCALAR=1 "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
+      echo "=== ${SANITIZER}: push-kernel suites (GE_FORCE_SCALAR off/on) ==="
+      for suite in hybrid_kernel_test batch_driver_test; do
+        "${BUILD}/tests/${suite}" --gtest_brief=1
+        GE_FORCE_SCALAR=1 "${BUILD}/tests/${suite}" --gtest_brief=1
+      done
       # Versioned storage plane: run the whole mutation suite alone under
       # TSan. Every case goes through the shared coordinator
       # (Machine::apply_mutations), whose local legs apply on the
@@ -107,9 +110,10 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       GE_TENSOR_MARSHAL_US=2 "${BUILD}/tests/wire_codec_test" \
           --gtest_brief=1
       # Push-kernel plane (SIMD varint windows, the dense kernel's slot
-      # arithmetic, promote/demote copies) at both SIMD levels: the
-      # vector paths must be as UB-clean as the scalar ones on the same
-      # inputs, including the hostile-frame rejection tests.
+      # arithmetic and touched-slot reset, the copy into the arrays at
+      # bind, the hash-map kernel) at both SIMD levels: the vector paths
+      # must be as UB-clean as the scalar ones on the same inputs,
+      # including the hostile-frame rejection tests.
       echo "=== ${SANITIZER}: ctest -L kernel (GE_FORCE_SCALAR off/on) ==="
       ctest --test-dir "${BUILD}" -L kernel --output-on-failure
       GE_FORCE_SCALAR=1 ctest --test-dir "${BUILD}" -L kernel \
